@@ -2,11 +2,14 @@
  * @file
  * google-benchmark microbenchmarks of the substrate components: packet
  * (de)serialization, mesh routing, cache arrays, the coherent-system
- * access walk, the event queue and the RISC-V interpreter. These guard
- * the simulator's own performance (host-side), not target metrics.
+ * access walk, stat updates, the event queue and the RISC-V interpreter.
+ * These guard the simulator's own performance (host-side), not target
+ * metrics.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "cache/coherent_system.hpp"
 #include "mem/main_memory.hpp"
@@ -15,6 +18,7 @@
 #include "riscv/core.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
+#include "sim/stats.hpp"
 
 using namespace smappic;
 
@@ -103,6 +107,38 @@ BM_CoherentAccessL1Hit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CoherentAccessL1Hit);
+
+// Per-event stat update cost. redirect:1 binds a shard with a Redirect,
+// as every node-phase write under the phased engine does.
+void
+BM_StatHandleIncrement(benchmark::State &state)
+{
+    sim::StatRegistry root;
+    sim::StatRegistry shard;
+    const sim::StatId id("bench.stat.handle");
+    std::optional<sim::StatRegistry::Redirect> redirect;
+    if (state.range(0) != 0)
+        redirect.emplace(&root, &shard);
+    for (auto _ : state)
+        root.counter(id).increment();
+    benchmark::DoNotOptimize(root.counterValue(id) + shard.counterValue(id));
+}
+BENCHMARK(BM_StatHandleIncrement)->ArgName("redirect")->Arg(0)->Arg(1);
+
+void
+BM_StatNameIncrement(benchmark::State &state)
+{
+    sim::StatRegistry root;
+    sim::StatRegistry shard;
+    std::optional<sim::StatRegistry::Redirect> redirect;
+    if (state.range(0) != 0)
+        redirect.emplace(&root, &shard);
+    for (auto _ : state)
+        root.counter("bench.stat.name").increment();
+    benchmark::DoNotOptimize(root.counterValue("bench.stat.name") +
+                             shard.counterValue("bench.stat.name"));
+}
+BENCHMARK(BM_StatNameIncrement)->ArgName("redirect")->Arg(0)->Arg(1);
 
 void
 BM_CoherentAccessMissStream(benchmark::State &state)

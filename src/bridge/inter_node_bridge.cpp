@@ -13,6 +13,20 @@ namespace smappic::bridge
 namespace
 {
 
+const sim::StatId kRetransmits("bridge.retransmits");
+const sim::StatId kCrcErrors("bridge.crcErrors");
+const sim::StatId kDuplicates("bridge.duplicates");
+const sim::StatId kCreditTimeouts("bridge.creditTimeouts");
+const sim::StatId kPeerDegraded("bridge.peerDegraded");
+const sim::StatId kPeerRecovered("bridge.peerRecovered");
+const sim::StatId kDeferred("bridge.deferred");
+const sim::StatId kAxiWrites("bridge.axiWrites");
+const sim::StatId kFlitsSent("bridge.flitsSent");
+const sim::StatId kCreditReads("bridge.creditReads");
+const sim::StatId kOutOfOrder("bridge.outOfOrder");
+const sim::StatId kAxiWritesReceived("bridge.axiWritesReceived");
+const sim::StatId kPacketsDelivered("bridge.packetsDelivered");
+
 /** One AXI write carries up to one flit per physical NoC. */
 constexpr std::uint32_t kFlitsPerWrite = noc::kNumNocs;
 constexpr std::uint32_t kFlitBytes = 8;
@@ -59,12 +73,12 @@ InterNodeBridge::InterNodeBridge(NodeId node, FpgaId fpga, Addr window_base,
     if (stats_ && cfg_.reliability.enabled) {
         // Register the reliability counters eagerly so a clean run shows
         // them at zero instead of omitting them.
-        stats_->counter("bridge.retransmits");
-        stats_->counter("bridge.crcErrors");
-        stats_->counter("bridge.duplicates");
-        stats_->counter("bridge.creditTimeouts");
-        stats_->counter("bridge.peerDegraded");
-        stats_->counter("bridge.peerRecovered");
+        stats_->counter(kRetransmits);
+        stats_->counter(kCrcErrors);
+        stats_->counter(kDuplicates);
+        stats_->counter(kCreditTimeouts);
+        stats_->counter(kPeerDegraded);
+        stats_->counter(kPeerRecovered);
     }
 }
 
@@ -113,7 +127,7 @@ InterNodeBridge::sendPacket(const noc::Packet &pkt)
         // Node-phase caller: the packet enters the bridge at the next
         // quantum boundary, in deterministic mailbox order.
         if (stats_)
-            stats_->counter("bridge.deferred").increment();
+            stats_->counter(kDeferred).increment();
         router_->post([this, pkt] { sendPacket(pkt); });
         return;
     }
@@ -185,8 +199,8 @@ InterNodeBridge::pump()
             ++axiWritesSent_;
             flitsSent_ += __builtin_popcount(valid_mask);
             if (stats_) {
-                stats_->counter("bridge.axiWrites").increment();
-                stats_->counter("bridge.flitsSent")
+                stats_->counter(kAxiWrites).increment();
+                stats_->counter(kFlitsSent)
                     .increment(__builtin_popcount(valid_mask));
             }
             if (tracer_) {
@@ -303,7 +317,7 @@ InterNodeBridge::scheduleRetransmit(NodeId dst)
                     "(persistent loss or corruption)");
             ++retransmits_;
             if (stats_)
-                stats_->counter("bridge.retransmits").increment();
+                stats_->counter(kRetransmits).increment();
             transmitFrame(dst, p, f);
         }
     });
@@ -318,7 +332,7 @@ InterNodeBridge::scheduleCreditPoll(NodeId peer_id)
     peer.pollInFlight = true;
     ++creditReadsSent_;
     if (stats_)
-        stats_->counter("bridge.creditReads").increment();
+        stats_->counter(kCreditReads).increment();
 
     Cycles wait = cfg_.creditPollInterval;
     if (reliable() && peer.creditFailures > 0) {
@@ -362,7 +376,7 @@ InterNodeBridge::onCreditCompletion(NodeId peer_id, pcie::Completion c)
             if (!ok) {
                 ++crcErrors_;
                 if (stats_)
-                    stats_->counter("bridge.crcErrors").increment();
+                    stats_->counter(kCrcErrors).increment();
             }
         }
     }
@@ -407,7 +421,7 @@ InterNodeBridge::onCreditFailure(NodeId peer_id)
     PeerState &peer = peers_.at(peer_id);
     ++creditTimeouts_;
     if (stats_)
-        stats_->counter("bridge.creditTimeouts").increment();
+        stats_->counter(kCreditTimeouts).increment();
 
     if (!reliable()) {
         // Legacy behaviour: retry while traffic is pending so a single
@@ -442,7 +456,7 @@ InterNodeBridge::degradePeer(NodeId peer_id)
     peer.degraded = true;
     ++degradeEvents_;
     if (stats_)
-        stats_->counter("bridge.peerDegraded").increment();
+        stats_->counter(kPeerDegraded).increment();
     warn(strfmt("bridge.node%u: peer %u degraded after %u failed credit "
                 "reads; quiescing and probing",
                 node_, peer_id, peer.creditFailures));
@@ -468,7 +482,7 @@ InterNodeBridge::scheduleProbe(NodeId peer_id)
         p.pollInFlight = true;
         ++creditReadsSent_;
         if (stats_)
-            stats_->counter("bridge.creditReads").increment();
+            stats_->counter(kCreditReads).increment();
         issueCreditRead(peer_id);
     });
 }
@@ -482,7 +496,7 @@ InterNodeBridge::recoverPeer(NodeId peer_id)
     peer.backoffLevel = 0;
     ++recoverEvents_;
     if (stats_)
-        stats_->counter("bridge.peerRecovered").increment();
+        stats_->counter(kPeerRecovered).increment();
     inform(strfmt("bridge.node%u: peer %u recovered; re-arming link",
                   node_, peer_id));
     if (!peer.replay.empty())
@@ -508,7 +522,7 @@ InterNodeBridge::write(const axi::WriteReq &req)
         if (got != frameCrc(req.data.data(), valid_mask, src)) {
             ++crcErrors_;
             if (stats_)
-                stats_->counter("bridge.crcErrors").increment();
+                stats_->counter(kCrcErrors).increment();
             return axi::WriteResp{axi::Resp::kSlvErr, req.id};
         }
         SourceState &state = sources_[src];
@@ -519,7 +533,7 @@ InterNodeBridge::write(const axi::WriteReq &req)
             // flits, but ACK so the sender's window advances.
             ++duplicates_;
             if (stats_)
-                stats_->counter("bridge.duplicates").increment();
+                stats_->counter(kDuplicates).increment();
             return axi::WriteResp{axi::Resp::kOkay, req.id};
         }
         if (delta > 0) {
@@ -527,7 +541,7 @@ InterNodeBridge::write(const axi::WriteReq &req)
             // goes back and replays in order.
             ++outOfOrder_;
             if (stats_)
-                stats_->counter("bridge.outOfOrder").increment();
+                stats_->counter(kOutOfOrder).increment();
             return axi::WriteResp{axi::Resp::kSlvErr, req.id};
         }
         state.expectedSeq += 1;
@@ -538,7 +552,7 @@ InterNodeBridge::write(const axi::WriteReq &req)
 
     acceptFlits(src, valid_mask, req.data.data());
     if (stats_)
-        stats_->counter("bridge.axiWritesReceived").increment();
+        stats_->counter(kAxiWritesReceived).increment();
     return axi::WriteResp{axi::Resp::kOkay, req.id};
 }
 
@@ -619,7 +633,7 @@ InterNodeBridge::tryAssemble(NodeId src, noc::NocIndex noc_idx)
         panicIf(pkt.dstNode != node_, "bridge received mis-routed packet");
         ++packetsDelivered_;
         if (stats_)
-            stats_->counter("bridge.packetsDelivered").increment();
+            stats_->counter(kPacketsDelivered).increment();
         if (tracer_) {
             obs::TraceEvent ev = obs::event(obs::EventKind::kBridgeRx);
             ev.cycle = eq_.now();

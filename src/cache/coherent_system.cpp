@@ -13,6 +13,36 @@ namespace smappic::cache
 namespace
 {
 
+const sim::StatId kBridgeCrossings("cs.bridge.crossings");
+const sim::StatId kBridgeBytes("cs.bridge.bytes");
+const sim::StatId kDramAccesses("cs.dram.accesses");
+const sim::StatId kMutationLostInvalidations("cs.mutation.lostInvalidations");
+const sim::StatId kDirOwnerRecalls("cs.dir.ownerRecalls");
+const sim::StatId kDirInvalidations("cs.dir.invalidations");
+const sim::StatId kLlcWritebacks("cs.llc.writebacks");
+const sim::StatId kLlcEvictions("cs.llc.evictions");
+const sim::StatId kLlcFills("cs.llc.fills");
+const sim::StatId kBpcWritebacks("cs.bpc.writebacks");
+const sim::StatId kBpcCleanEvicts("cs.bpc.cleanEvicts");
+const sim::StatId kDeviceStores("cs.device.stores");
+const sim::StatId kDeviceLoads("cs.device.loads");
+const sim::StatId kL1Hits("cs.l1.hits");
+const sim::StatId kL1StoreHits("cs.l1.storeHits");
+const sim::StatId kCdrUncachedRemote("cs.cdr.uncachedRemote");
+const sim::StatId kNcAccesses("cs.nc.accesses");
+const sim::StatId kBpcHits("cs.bpc.hits");
+const sim::StatId kBpcMisses("cs.bpc.misses");
+const sim::StatId kDirDowngrades("cs.dir.downgrades");
+const sim::StatId
+    kMutationDroppedOwnerUpdates("cs.mutation.droppedOwnerUpdates");
+const sim::StatId kDirStoreMisses("cs.dir.storeMisses");
+const sim::StatId kAtomics("cs.atomics");
+const sim::StatId kServicedLlcLocal("cs.serviced.llcLocal");
+const sim::StatId kServicedLlcRemote("cs.serviced.llcRemote");
+const sim::StatId kServicedDramLocal("cs.serviced.dramLocal");
+const sim::StatId kServicedDramRemote("cs.serviced.dramRemote");
+const sim::StatId kMissLatency("cs.missLatency");
+
 /** Request packet wire footprint: header + address flit. */
 constexpr std::uint32_t kReqBytes = 16;
 /** Data packet wire footprint: header + address + 8 data flits. */
@@ -146,8 +176,8 @@ CoherentSystem::nocPath(NodeId sn, TileId st, NodeId dn, TileId dt,
     // to the destination tile (SMAPPIC section 3.1, stages 1-10).
     if (crossed)
         *crossed = true;
-    stats_->counter("cs.bridge.crossings").increment();
-    stats_->counter("cs.bridge.bytes").increment(bytes);
+    stats_->counter(kBridgeCrossings).increment();
+    stats_->counter(kBridgeBytes).increment(bytes);
 
     t += timing_.nocInject + topo_.hopsToOffChip(st) * timing_.hopLatency;
     t = bridgeOut_[sn].send(t, bytes);
@@ -195,7 +225,7 @@ CoherentSystem::dramAccess(NodeId node, std::uint32_t bytes, Cycles t)
     if (service == 0)
         service = 1;
     auto grant = dramServer_[node].offer(t, service);
-    stats_->counter("cs.dram.accesses").increment();
+    stats_->counter(kDramAccesses).increment();
     return grant.done + timing_.dramLatency;
 }
 
@@ -234,7 +264,7 @@ CoherentSystem::loseInvalidation(Addr line, GlobalTileId gid)
     staleFired_ = true;
     staleVictim_ = gid;
     staleBytes_ = armedBytes_;
-    stats_->counter("cs.mutation.lostInvalidations").increment();
+    stats_->counter(kMutationLostInvalidations).increment();
 }
 
 Cycles
@@ -257,7 +287,7 @@ CoherentSystem::recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
         if (keep_data_in_llc)
             dir.dirty = true;
         dropPrivate(line, g);
-        stats_->counter("cs.dir.ownerRecalls").increment();
+        stats_->counter(kDirOwnerRecalls).increment();
     }
     std::uint64_t sharers = dir.sharers;
     while (sharers) {
@@ -268,7 +298,7 @@ CoherentSystem::recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
             loseInvalidation(line, g);
         else
             dropPrivate(line, g);
-        stats_->counter("cs.dir.invalidations").increment();
+        stats_->counter(kDirInvalidations).increment();
     }
     return last_ack;
 }
@@ -325,16 +355,16 @@ CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
         if (dirty) {
             NodeId vnode = addrNode(vline);
             dramAccess(vnode, kCacheLineBytes, t); // Async writeback.
-            stats_->counter("cs.llc.writebacks").increment();
+            stats_->counter(kLlcWritebacks).increment();
         }
         t += timing_.llcEvictPenalty;
-        stats_->counter("cs.llc.evictions").increment();
+        stats_->counter(kLlcEvictions).increment();
     }
 
     DirEntry &fresh = dirEntry(line);
     fresh.inLlc = true;
     fresh.dirty = false;
-    stats_->counter("cs.llc.fills").increment();
+    stats_->counter(kLlcFills).increment();
     return t;
 }
 
@@ -372,11 +402,11 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
                 if (vdir.owner == static_cast<std::int32_t>(gid))
                     vdir.owner = -1;
                 vdir.dirty = true;
-                stats_->counter("cs.bpc.writebacks").increment();
+                stats_->counter(kBpcWritebacks).increment();
             } else {
                 // Clean victim: notify the directory (precise tracking).
                 vdir.sharers &= ~(1ULL << gid);
-                stats_->counter("cs.bpc.cleanEvicts").increment();
+                stats_->counter(kBpcCleanEvicts).increment();
             }
             maybeClearStale(vline, gid);
         }
@@ -407,11 +437,11 @@ CoherentSystem::deviceAccess(const DeviceWindow &w, GlobalTileId gid,
         type == AccessType::kAtomic) {
         std::uint64_t value = memory_.load(addr, std::min(bytes, 8u));
         w.dev->ncStore(addr - w.base, bytes, value, t, service);
-        stats_->counter("cs.device.stores").increment();
+        stats_->counter(kDeviceStores).increment();
     } else {
         std::uint64_t value = w.dev->ncLoad(addr - w.base, bytes, t, service);
         memory_.store(addr, std::min(bytes, 8u), value);
-        stats_->counter("cs.device.loads").increment();
+        stats_->counter(kDeviceLoads).increment();
     }
     t += service;
     t = nocPath(nodeOf(w.gid), tileOf(w.gid), nodeOf(gid), tileOf(gid),
@@ -434,13 +464,7 @@ CoherentSystem::fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // nothing on a miss.
     if (!l1i_[gid].lookup(addr))
         return false;
-    if (parallel_) {
-        stats_->counter("cs.l1.hits").increment();
-    } else {
-        if (l1HitsSerial_ == nullptr)
-            l1HitsSerial_ = &stats_->counter("cs.l1.hits");
-        l1HitsSerial_->increment();
-    }
+    stats_->counter(kL1Hits).increment();
     lat = timing_.l1HitLatency;
     return true;
 }
@@ -463,13 +487,7 @@ CoherentSystem::loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // nothing on a miss.
     if (!l1d_[gid].lookup(addr))
         return false;
-    if (parallel_) {
-        stats_->counter("cs.l1.hits").increment();
-    } else {
-        if (l1HitsSerial_ == nullptr)
-            l1HitsSerial_ = &stats_->counter("cs.l1.hits");
-        l1HitsSerial_->increment();
-    }
+    stats_->counter(kL1Hits).increment();
     lat = timing_.l1HitLatency;
     return true;
 }
@@ -490,13 +508,7 @@ CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     if (!bpc_[gid].lookupIfState(line, kModified))
         return false;
     l1d_[gid].lookup(line);
-    if (parallel_) {
-        stats_->counter("cs.l1.storeHits").increment();
-    } else {
-        if (l1StoreHitsSerial_ == nullptr)
-            l1StoreHitsSerial_ = &stats_->counter("cs.l1.storeHits");
-        l1StoreHitsSerial_->increment();
-    }
+    stats_->counter(kL1StoreHits).increment();
     lat = timing_.l1HitLatency;
     return true;
 }
@@ -524,7 +536,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         addrNode(addr) != my_node &&
         (type == AccessType::kLoad || type == AccessType::kStore ||
          type == AccessType::kFetch || type == AccessType::kAtomic)) {
-        stats_->counter("cs.cdr.uncachedRemote").increment();
+        stats_->counter(kCdrUncachedRemote).increment();
         type = (type == AccessType::kStore || type == AccessType::kAtomic)
                    ? AccessType::kNcStore
                    : AccessType::kNcLoad;
@@ -543,7 +555,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         t = dramAccess(dn, bytes, t);
         t = nocPath(dn, noc::kOffChipTile, my_node, my_tile,
                     kReqBytes + (type == AccessType::kNcLoad ? bytes : 0), t);
-        stats_->counter("cs.nc.accesses").increment();
+        stats_->counter(kNcAccesses).increment();
         return AccessResult{
             t - now,
             dn == my_node ? ServiceLevel::kDramLocal
@@ -563,7 +575,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         // --- L1 hit path ---
         if (type == AccessType::kLoad || type == AccessType::kFetch) {
             if (l1.lookup(addr)) {
-                stats_->counter("cs.l1.hits").increment();
+                stats_->counter(kL1Hits).increment();
                 AccessResult res{timing_.l1HitLatency, ServiceLevel::kL1,
                                  false};
                 if (mutation_ != TestMutation::kNone)
@@ -579,7 +591,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
                 bpc_[gid].lookup(line);
                 if (l1.probe(line))
                     l1.lookup(line);
-                stats_->counter("cs.l1.storeHits").increment();
+                stats_->counter(kL1StoreHits).increment();
                 return AccessResult{timing_.l1HitLatency,
                                     ServiceLevel::kL1, false};
             }
@@ -590,7 +602,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
             bpc_[gid].lookup(line)) {
             if (!l1.probe(line))
                 l1.insert(line, kShared);
-            stats_->counter("cs.bpc.hits").increment();
+            stats_->counter(kBpcHits).increment();
             AccessResult res{timing_.l1MissDetect + timing_.privLatency,
                              ServiceLevel::kPrivate, false};
             if (mutation_ != TestMutation::kNone)
@@ -604,7 +616,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     // servers, bridge shapers, peer private arrays on recalls), so it is
     // one critical section under the phased engine.
     auto guard = parallelGuard();
-    stats_->counter("cs.bpc.misses").increment();
+    stats_->counter(kBpcMisses).increment();
     auto [hn, ht] = homeOf(line);
     GlobalTileId home_gid = gidOf(hn, ht);
     bool crossed = false;
@@ -637,7 +649,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               dir.sharers |= 1ULL << og;
               dir.owner = -1;
               dir.dirty = true;
-              stats_->counter("cs.dir.downgrades").increment();
+              stats_->counter(kDirDowngrades).increment();
           } else {
               t = llcEnsureResident(line, hn, ht, t, from_dram);
           }
@@ -661,8 +673,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
           DirEntry &d = dirEntry(line);
           d.sharers &= ~(1ULL << gid);
           if (drop_owner)
-              stats_->counter("cs.mutation.droppedOwnerUpdates")
-                  .increment();
+              stats_->counter(kMutationDroppedOwnerUpdates).increment();
           else
               d.owner = static_cast<std::int32_t>(gid);
           if (bpc_[gid].probe(line)) {
@@ -684,7 +695,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               memory_.readBytes(mutationLine_, armedBytes_.data(),
                                 kCacheLineBytes);
           }
-          stats_->counter("cs.dir.storeMisses").increment();
+          stats_->counter(kDirStoreMisses).increment();
           break;
       }
       case AccessType::kAtomic: {
@@ -696,7 +707,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
           DirEntry &d = dirEntry(line);
           d.dirty = true;
           t = nocPath(hn, ht, my_node, my_tile, kReqBytes + 8, t);
-          stats_->counter("cs.atomics").increment();
+          stats_->counter(kAtomics).increment();
           break;
       }
       default:
@@ -713,21 +724,21 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     }
     switch (level) {
       case ServiceLevel::kLlcLocal:
-        stats_->counter("cs.serviced.llcLocal").increment();
+        stats_->counter(kServicedLlcLocal).increment();
         break;
       case ServiceLevel::kLlcRemote:
-        stats_->counter("cs.serviced.llcRemote").increment();
+        stats_->counter(kServicedLlcRemote).increment();
         break;
       case ServiceLevel::kDramLocal:
-        stats_->counter("cs.serviced.dramLocal").increment();
+        stats_->counter(kServicedDramLocal).increment();
         break;
       case ServiceLevel::kDramRemote:
-        stats_->counter("cs.serviced.dramRemote").increment();
+        stats_->counter(kServicedDramRemote).increment();
         break;
       default:
         break;
     }
-    stats_->summaryStat("cs.missLatency").sample(
+    stats_->summaryStat(kMissLatency).sample(
         static_cast<double>(t - now));
     if (traceCache_) {
         obs::TraceEvent ev =
@@ -775,7 +786,7 @@ CoherentSystem::recallPrivateExcept(Addr line, NodeId hn, TileId ht, Cycles t,
         round_trip(g, kDataBytes);
         dir.dirty = true;
         dropPrivate(line, g);
-        stats_->counter("cs.dir.ownerRecalls").increment();
+        stats_->counter(kDirOwnerRecalls).increment();
     }
     std::uint64_t sharers = dir.sharers & ~(1ULL << except);
     while (sharers) {
@@ -786,7 +797,7 @@ CoherentSystem::recallPrivateExcept(Addr line, NodeId hn, TileId ht, Cycles t,
             loseInvalidation(line, g);
         else
             dropPrivate(line, g);
-        stats_->counter("cs.dir.invalidations").increment();
+        stats_->counter(kDirInvalidations).increment();
     }
     return last_ack;
 }

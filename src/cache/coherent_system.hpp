@@ -599,17 +599,6 @@ class CoherentSystem
     /** One lock per tile's private arrays; see tileGuard(). */
     std::unique_ptr<std::mutex[]> tileMu_;
 
-    /**
-     * Cached "cs.l1.hits" counter for the serial-mode fast path (map
-     * nodes are pointer-stable, and without Redirects counter() always
-     * resolves to the same node). Under the phased engine lookups must
-     * go through the registry every time to land in the acting node's
-     * TLS shard, so the cache is bypassed while parallel_ is set.
-     */
-    sim::Counter *l1HitsSerial_ = nullptr;
-    /** Cached "cs.l1.storeHits" counter; same rules as l1HitsSerial_. */
-    sim::Counter *l1StoreHitsSerial_ = nullptr;
-
     CoherenceObserver *observer_ = nullptr;
 
     /** Cached handleFor() guards: null unless the component is traced. */

@@ -5,6 +5,13 @@
 namespace smappic::check
 {
 
+namespace
+{
+
+const sim::StatId kViolations("check.violations");
+
+} // namespace
+
 CoherenceChecker::CoherenceChecker(cache::CoherentSystem &cs,
                                    CheckConfig cfg,
                                    sim::StatRegistry *stats)
@@ -17,7 +24,7 @@ CoherenceChecker::report(Addr line, const std::string &what)
 {
     ++violationCount_;
     if (stats_)
-        stats_->counter("check.violations").increment();
+        stats_->counter(kViolations).increment();
     std::string msg =
         strfmt("coherence violation at line 0x%llx: ",
                static_cast<unsigned long long>(line)) +

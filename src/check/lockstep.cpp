@@ -9,6 +9,8 @@ namespace smappic::check
 namespace
 {
 
+const sim::StatId kDivergences("lockstep.divergences");
+
 constexpr std::uint16_t kDiffCsrs[] = {
     riscv::kCsrMstatus, riscv::kCsrMie,     riscv::kCsrMtvec,
     riscv::kCsrMepc,    riscv::kCsrMcause,  riscv::kCsrMtval,
@@ -161,7 +163,7 @@ LockstepChecker::recordDivergence(Hart &h, riscv::RvCore &core,
     // The stat is created lazily on the first divergence so clean runs
     // keep their stat dumps byte-identical with the checker on or off.
     if (stats_)
-        stats_->counter("lockstep.divergences").increment();
+        stats_->counter(kDivergences).increment();
     if (divergences_.size() < cfg_.maxDivergences)
         divergences_.push_back(std::move(d));
 }

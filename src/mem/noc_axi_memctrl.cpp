@@ -9,6 +9,15 @@
 namespace smappic::mem
 {
 
+namespace
+{
+
+const sim::StatId kRequests("memctrl.requests");
+const sim::StatId kBufferOverflows("memctrl.bufferOverflows");
+const sim::StatId kResponses("memctrl.responses");
+
+} // namespace
+
 NocAxiMemController::NocAxiMemController(NodeId node, sim::EventQueue &eq,
                                          AxiDram &dram,
                                          const MemCtrlConfig &cfg,
@@ -33,11 +42,11 @@ NocAxiMemController::handlePacket(const noc::Packet &pkt)
     panicIf(!is_read && !is_write,
             "memory controller received a non-memory packet");
     if (stats_)
-        stats_->counter("memctrl.requests").increment();
+        stats_->counter(kRequests).increment();
 
     buffer_.push_back(pkt);
     if (stats_ && buffer_.size() > cfg_.bufferDepth)
-        stats_->counter("memctrl.bufferOverflows").increment();
+        stats_->counter(kBufferOverflows).increment();
     eq_.schedule(cfg_.pipelineLatency, [this] { tryIssue(); });
 }
 
@@ -159,7 +168,7 @@ NocAxiMemController::complete(std::size_t mshr_idx,
     }
 
     if (stats_)
-        stats_->counter("memctrl.responses").increment();
+        stats_->counter(kResponses).increment();
     if (send_) {
         eq_.schedule(cfg_.pipelineLatency,
                      [this, reply = std::move(reply)] { send_(reply); });

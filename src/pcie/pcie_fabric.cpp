@@ -9,6 +9,15 @@
 namespace smappic::pcie
 {
 
+namespace
+{
+
+const sim::StatId kTransfers("pcie.transfers");
+const sim::StatId kBytes("pcie.bytes");
+const sim::StatId kDeferred("pcie.deferred");
+
+} // namespace
+
 PcieFabric::PcieFabric(sim::EventQueue &eq, Cycles one_way,
                        double bytes_per_cycle, sim::StatRegistry *stats)
     : eq_(eq), oneWay_(one_way), bytesPerCycle_(bytes_per_cycle),
@@ -61,8 +70,8 @@ PcieFabric::transferArrival(FpgaId src, std::uint64_t bytes)
     transfers_ += 1;
     bytesMoved_ += bytes;
     if (stats_) {
-        stats_->counter("pcie.transfers").increment();
-        stats_->counter("pcie.bytes").increment(bytes);
+        stats_->counter(kTransfers).increment();
+        stats_->counter(kBytes).increment(bytes);
     }
     return sent + oneWay_;
 }
@@ -94,7 +103,7 @@ PcieFabric::deferToBarrier(std::function<void()> reissue)
     if (!router_ || sim::currentNode() == sim::kNoNode)
         return false;
     if (stats_)
-        stats_->counter("pcie.deferred").increment();
+        stats_->counter(kDeferred).increment();
     router_->post(std::move(reissue));
     return true;
 }

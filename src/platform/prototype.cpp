@@ -15,6 +15,16 @@ namespace smappic::platform
 namespace
 {
 
+const sim::StatId kPlatformIrqDeferred("platform.irqDeferred");
+const sim::StatId kPlatformBridgePacketsIn("platform.bridgePacketsIn");
+const sim::StatId kPlatformMemctrlResponses("platform.memctrlResponses");
+const sim::StatId kPlatformIrqPackets("platform.irqPackets");
+const sim::StatId kFaultNodeWedge("fault.nodeWedge");
+const sim::StatId kWatchdogStallsDetected("watchdog.stallsDetected");
+const sim::StatId kWatchdogRecoveries("watchdog.recoveries");
+const sim::StatId kSnapCheckpoints("snap.checkpoints");
+const sim::StatId kSnapSkipped("snap.skipped");
+
 /** Adapts a byte-addressed AXI-Lite register file into an NcDevice. */
 class LiteNcAdapter : public cache::NcDevice
 {
@@ -345,7 +355,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
             // apply immediately, as in the sequential engine.
             NodeId acting = sim::currentNode();
             if (acting != sim::kNoNode && pkt.dstNode != acting) {
-                stats_.counter("platform.irqDeferred").increment();
+                stats_.counter(kPlatformIrqDeferred).increment();
                 router_.post([this, pkt] { deliverIrqPacket(pkt); });
                 return;
             }
@@ -401,7 +411,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
                     if (gid < cores_.size() && cores_[gid])
                         riscv::IrqDepacketizer::apply(pkt, *cores_[gid]);
                 }
-                stats_.counter("platform.bridgePacketsIn").increment();
+                stats_.counter(kPlatformBridgePacketsIn).increment();
             });
             bridges_.push_back(std::move(b));
         }
@@ -418,7 +428,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
             n, eq_, *drams_.back(), mem::MemCtrlConfig{}, &stats_);
         ctrl->setFaultInjector(faultInjector_.get());
         ctrl->setSendFn([this](const noc::Packet &) {
-            stats_.counter("platform.memctrlResponses").increment();
+            stats_.counter(kPlatformMemctrlResponses).increment();
         });
         memctrls_.push_back(std::move(ctrl));
 
@@ -587,7 +597,7 @@ Prototype::deliverIrqPacket(const noc::Packet &pkt)
     GlobalTileId gid = pkt.dstNode * cfg_.tilesPerNode + pkt.dstTile;
     if (gid < cores_.size() && cores_[gid])
         riscv::IrqDepacketizer::apply(pkt, *cores_[gid]);
-    stats_.counter("platform.irqPackets").increment();
+    stats_.counter(kPlatformIrqPackets).increment();
 }
 
 accel::GngAccelerator &
@@ -1066,7 +1076,7 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
                         strfmt("node.wedge.node%u", n))) {
                     wedged[n] = true;
                     ++wedge_count;
-                    stats_.counter("fault.nodeWedge").increment();
+                    stats_.counter(kFaultNodeWedge).increment();
                 }
             }
         }
@@ -1203,14 +1213,14 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
         restore(last_checkpoint);
         watchdog.noteRecovery();
         watchdog.rebase();
-        auto &stalls = stats_.counter("watchdog.stallsDetected");
+        auto &stalls = stats_.counter(kWatchdogStallsDetected);
         if (watchdog.stallsDetected() > stalls.value())
             stalls.increment(watchdog.stallsDetected() - stalls.value());
-        auto &recoveries = stats_.counter("watchdog.recoveries");
+        auto &recoveries = stats_.counter(kWatchdogRecoveries);
         if (watchdog.recoveries() > recoveries.value())
             recoveries.increment(watchdog.recoveries() -
                                  recoveries.value());
-        auto &wedges = stats_.counter("fault.nodeWedge");
+        auto &wedges = stats_.counter(kFaultNodeWedge);
         if (wedge_count > wedges.value())
             wedges.increment(wedge_count - wedges.value());
         wedge_disarmed = true;
@@ -1391,7 +1401,7 @@ Prototype::checkpoint(const std::string &path)
             strfmt("checkpoint '%s': pending device events will not "
                    "drain (degraded link probes?)",
                    path.c_str()));
-    stats_.counter("snap.checkpoints").increment();
+    stats_.counter(kSnapCheckpoints).increment();
     writeCheckpoint(path);
 }
 
@@ -1402,10 +1412,10 @@ Prototype::tryCheckpoint(const std::string &path)
         warn(strfmt("skipping checkpoint '%s': device events will not "
                     "drain",
                     path.c_str()));
-        stats_.counter("snap.skipped").increment();
+        stats_.counter(kSnapSkipped).increment();
         return false;
     }
-    stats_.counter("snap.checkpoints").increment();
+    stats_.counter(kSnapCheckpoints).increment();
     writeCheckpoint(path);
     return true;
 }

@@ -10,6 +10,13 @@ namespace smappic::riscv
 namespace
 {
 
+const sim::StatId kTlbMisses("core.tlbMisses");
+const sim::StatId kTraps("core.traps");
+const sim::StatId kInterruptsTaken("core.interruptsTaken");
+const sim::StatId kMispredicts("core.mispredicts");
+const sim::StatId kBranches("core.branches");
+const sim::StatId kInstret("core.instret");
+
 // PTE bits.
 constexpr std::uint64_t kPteV = 1 << 0;
 constexpr std::uint64_t kPteR = 1 << 1;
@@ -185,7 +192,7 @@ RvCore::translate(Addr vaddr, MemAccess access, Cycles &lat)
     // Sv39 three-level walk; PTE loads go through the memory port so they
     // show up in the timing model.
     if (stats_)
-        stats_->counter("core.tlbMisses").increment();
+        stats_->counter(kTlbMisses).increment();
     lat += cfg_.tlbWalkBase;
     std::uint64_t root = (satp_ & ((1ULL << 44) - 1)) << 12;
     std::uint64_t table = root;
@@ -270,7 +277,7 @@ RvCore::takeTrap(std::uint64_t cause, std::uint64_t tval)
     else
         pc_ = base;
     if (stats_)
-        stats_->counter("core.traps").increment();
+        stats_->counter(kTraps).increment();
 }
 
 bool
@@ -297,7 +304,7 @@ RvCore::maybeTakeInterrupt()
         irq = kIrqMti;
     takeTrap(kInterruptBit | irq, 0);
     if (stats_)
-        stats_->counter("core.interruptsTaken").increment();
+        stats_->counter(kInterruptsTaken).increment();
     return true;
 }
 
@@ -588,11 +595,11 @@ RvCore::step()
           if (predicted != taken) {
               total += cfg_.mispredictPenalty;
               if (stats_)
-                  stats_->counter("core.mispredicts").increment();
+                  stats_->counter(kMispredicts).increment();
           }
           trainBht(pc, taken);
           if (stats_)
-              stats_->counter("core.branches").increment();
+              stats_->counter(kBranches).increment();
           if (taken)
               next_pc = pc + static_cast<std::uint64_t>(d.imm);
           break;
@@ -975,7 +982,7 @@ RvCore::step()
     ++instret_;
     cycles_ += total;
     if (stats_)
-        stats_->counter("core.instret").increment();
+        stats_->counter(kInstret).increment();
     if (tracer_) {
         obs::TraceEvent ev = obs::event(obs::EventKind::kCoreCommit);
         ev.cycle = cycles_ - total;

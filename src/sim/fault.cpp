@@ -8,6 +8,11 @@ namespace smappic::sim
 namespace
 {
 
+const StatId kDrop("fault.drop");
+const StatId kCorrupt("fault.corrupt");
+const StatId kDelay("fault.delay");
+const StatId kSlverr("fault.slverr");
+
 /** FNV-1a over the site name; mixes the plan seed per site. */
 std::uint64_t
 hashSite(std::string_view site)
@@ -111,22 +116,22 @@ FaultInjector::count(FaultKind kind)
       case FaultKind::kDrop:
         ++drops_;
         if (stats_)
-            stats_->counter("fault.drop").increment();
+            stats_->counter(kDrop).increment();
         break;
       case FaultKind::kCorrupt:
         ++corruptions_;
         if (stats_)
-            stats_->counter("fault.corrupt").increment();
+            stats_->counter(kCorrupt).increment();
         break;
       case FaultKind::kDelay:
         ++delays_;
         if (stats_)
-            stats_->counter("fault.delay").increment();
+            stats_->counter(kDelay).increment();
         break;
       case FaultKind::kSlvErr:
         ++slvErrs_;
         if (stats_)
-            stats_->counter("fault.slverr").increment();
+            stats_->counter(kSlverr).increment();
         break;
     }
 }

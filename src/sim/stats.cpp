@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <mutex>
+#include <unordered_map>
 
 #include "sim/log.hpp"
 
@@ -73,6 +76,62 @@ Histogram::reset()
     overflow_ = 0;
     underflow_ = 0;
     summary_.reset();
+}
+
+namespace
+{
+
+/** Process-wide name <-> StatId table. Names never leave it, so the
+ *  deque's elements (and the views keyed on them) stay valid. */
+struct InternTable
+{
+    std::mutex mu;
+    std::deque<std::string> names;
+    std::unordered_map<std::string_view, std::uint32_t> ids;
+};
+
+InternTable &
+internTable()
+{
+    static InternTable table;
+    return table;
+}
+
+} // namespace
+
+StatId::StatId(std::string_view name)
+{
+    InternTable &t = internTable();
+    std::lock_guard lock(t.mu);
+    auto it = t.ids.find(name);
+    if (it == t.ids.end()) {
+        t.names.emplace_back(name);
+        it = t.ids
+                 .emplace(t.names.back(),
+                          static_cast<std::uint32_t>(t.names.size() - 1))
+                 .first;
+    }
+    index_ = it->second;
+}
+
+const std::string &
+StatId::name() const
+{
+    InternTable &t = internTable();
+    std::lock_guard lock(t.mu);
+    return t.names[index_];
+}
+
+Counter &
+StatRegistry::fillCounter(StatId id)
+{
+    return counterSlots_.fill(id, counters_[id.name()]);
+}
+
+Summary &
+StatRegistry::fillSummary(StatId id)
+{
+    return summarySlots_.fill(id, summaries_[id.name()]);
 }
 
 thread_local StatRegistry *StatRegistry::tlsRoot_ = nullptr;

@@ -12,6 +12,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace smappic::sim
@@ -91,7 +92,10 @@ class Summary
         if (count_ == 0)
             return 0.0;
         double m = mean();
-        return sumSq_ / count_ - m * m;
+        // sumSq/n - mean^2 cancels catastrophically for equal samples and
+        // can land a few ulps below zero; variance is never negative.
+        double v = sumSq_ / count_ - m * m;
+        return v > 0.0 ? v : 0.0;
     }
 
     void
@@ -162,6 +166,26 @@ class Histogram
 };
 
 /**
+ * Interned stat name. Constructing a StatId looks the name up in a
+ * process-wide table once; StatRegistry::counter(StatId) then indexes a
+ * flat per-registry slot table instead of building a string and walking
+ * the name map. Intern at namespace scope or at component construction,
+ * never per event. Safe to construct and read from any thread.
+ */
+class StatId
+{
+  public:
+    explicit StatId(std::string_view name);
+
+    /** The interned name. */
+    const std::string &name() const;
+    std::uint32_t index() const { return index_; }
+
+  private:
+    std::uint32_t index_;
+};
+
+/**
  * Flat name -> stat registry. Components register their stats under
  * hierarchical dotted names ("node0.tile3.bpc.misses"); benches read them
  * back or dump the whole registry.
@@ -173,17 +197,39 @@ class Histogram
  * the shards back (mergeFrom) in ascending node order at the end of a run,
  * so merged floating-point accumulation order — and therefore every dumped
  * value — is independent of the worker count.
+ *
+ * counter(StatId)/summaryStat(StatId) resolve the acting registry the same
+ * way, then index its slot table: each slot points at the registry's own
+ * map node and is filled on first use, so a stat exists (and is dumped)
+ * exactly once something touched it. The by-name overloads intern and take
+ * the same path; they serve dynamic names, tools and tests.
  */
 class StatRegistry
 {
   public:
-    Counter &counter(const std::string &name)
+    Counter &
+    counter(StatId id)
     {
-        return active().counters_[name];
+        StatRegistry &reg = active();
+        Counter *c = reg.counterSlots_.get(id);
+        return c ? *c : reg.fillCounter(id);
     }
-    Summary &summaryStat(const std::string &name)
+    Summary &
+    summaryStat(StatId id)
     {
-        return active().summaries_[name];
+        StatRegistry &reg = active();
+        Summary *s = reg.summarySlots_.get(id);
+        return s ? *s : reg.fillSummary(id);
+    }
+    Counter &
+    counter(const std::string &name)
+    {
+        return counter(StatId(name));
+    }
+    Summary &
+    summaryStat(const std::string &name)
+    {
+        return summaryStat(StatId(name));
     }
 
     Histogram &
@@ -224,6 +270,11 @@ class StatRegistry
 
     /** Returns the counter's value, or 0 if never registered. */
     std::uint64_t counterValue(const std::string &name) const;
+    std::uint64_t
+    counterValue(StatId id) const
+    {
+        return counterValue(id.name());
+    }
 
     /** Writes all stats in "name value" lines, sorted by name. */
     void dump(std::ostream &os) const;
@@ -248,6 +299,57 @@ class StatRegistry
     }
 
   private:
+    /**
+     * StatId-indexed pointers into one registry's map nodes. std::map
+     * nodes are pointer-stable and survive a move of the map, so moved
+     * slots stay valid; a copy would point into the source's maps, so
+     * copies start empty and refill on first use.
+     */
+    template <typename T>
+    class SlotTable
+    {
+      public:
+        SlotTable() = default;
+        SlotTable(const SlotTable &) {}
+        SlotTable &
+        operator=(const SlotTable &)
+        {
+            slots_.clear();
+            return *this;
+        }
+        SlotTable(SlotTable &&o) noexcept : slots_(std::move(o.slots_))
+        {
+            o.slots_.clear();
+        }
+        SlotTable &
+        operator=(SlotTable &&o) noexcept
+        {
+            slots_ = std::move(o.slots_);
+            o.slots_.clear();
+            return *this;
+        }
+
+        T *
+        get(StatId id) const
+        {
+            return id.index() < slots_.size() ? slots_[id.index()] : nullptr;
+        }
+        T &
+        fill(StatId id, T &stat)
+        {
+            if (id.index() >= slots_.size())
+                slots_.resize(id.index() + 1);
+            slots_[id.index()] = &stat;
+            return stat;
+        }
+
+      private:
+        std::vector<T *> slots_;
+    };
+
+    Counter &fillCounter(StatId id);
+    Summary &fillSummary(StatId id);
+
     /** Shard bound to this registry on this thread, or *this. */
     StatRegistry &
     active()
@@ -261,6 +363,8 @@ class StatRegistry
     std::map<std::string, Counter> counters_;
     std::map<std::string, Summary> summaries_;
     std::map<std::string, Histogram> histograms_;
+    SlotTable<Counter> counterSlots_;
+    SlotTable<Summary> summarySlots_;
 };
 
 } // namespace smappic::sim

@@ -8,6 +8,13 @@
 namespace smappic::sim
 {
 
+namespace
+{
+
+const StatId kStallsDetected("watchdog.stallsDetected");
+
+} // namespace
+
 Watchdog::Watchdog(const WatchdogConfig &cfg, std::uint32_t nodes,
                    StatRegistry *stats)
     : cfg_(cfg), stats_(stats), lastCommitted_(nodes, 0),
@@ -55,7 +62,7 @@ Watchdog::observe(Cycles now, const std::vector<std::uint64_t> &committed,
     if (verdict.stallDetected) {
         stalls_ += verdict.stalledNodes.size();
         if (stats_) {
-            stats_->counter("watchdog.stallsDetected")
+            stats_->counter(kStallsDetected)
                 .increment(verdict.stalledNodes.size());
         }
     }

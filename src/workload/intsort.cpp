@@ -8,6 +8,16 @@
 namespace smappic::workload
 {
 
+namespace
+{
+
+const sim::StatId kLlcRemote("cs.serviced.llcRemote");
+const sim::StatId kDramRemote("cs.serviced.dramRemote");
+const sim::StatId kLlcLocal("cs.serviced.llcLocal");
+const sim::StatId kDramLocal("cs.serviced.dramLocal");
+
+} // namespace
+
 IntSortResult
 runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
            const IntSortConfig &cfg)
@@ -46,11 +56,11 @@ runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
     };
 
     std::uint64_t snapshot_remote =
-        cs.stats().counterValue("cs.serviced.llcRemote") +
-        cs.stats().counterValue("cs.serviced.dramRemote");
+        cs.stats().counterValue(kLlcRemote) +
+        cs.stats().counterValue(kDramRemote);
     std::uint64_t snapshot_total =
-        snapshot_remote + cs.stats().counterValue("cs.serviced.llcLocal") +
-        cs.stats().counterValue("cs.serviced.dramLocal");
+        snapshot_remote + cs.stats().counterValue(kLlcLocal) +
+        cs.stats().counterValue(kDramLocal);
 
     Cycles start = os.elapsed();
 
@@ -206,13 +216,13 @@ runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
     }
 
     std::uint64_t remote =
-        cs.stats().counterValue("cs.serviced.llcRemote") +
-        cs.stats().counterValue("cs.serviced.dramRemote") - snapshot_remote;
+        cs.stats().counterValue(kLlcRemote) +
+        cs.stats().counterValue(kDramRemote) - snapshot_remote;
     std::uint64_t total =
-        cs.stats().counterValue("cs.serviced.llcRemote") +
-        cs.stats().counterValue("cs.serviced.dramRemote") +
-        cs.stats().counterValue("cs.serviced.llcLocal") +
-        cs.stats().counterValue("cs.serviced.dramLocal") - snapshot_total;
+        cs.stats().counterValue(kLlcRemote) +
+        cs.stats().counterValue(kDramRemote) +
+        cs.stats().counterValue(kLlcLocal) +
+        cs.stats().counterValue(kDramLocal) - snapshot_total;
     result.remoteFraction =
         total ? static_cast<double>(remote) / static_cast<double>(total)
               : 0.0;

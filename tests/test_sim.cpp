@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -14,6 +18,7 @@
 #include "sim/random.hpp"
 #include "sim/server.hpp"
 #include "sim/stats.hpp"
+#include "snap/state_io.hpp"
 
 namespace smappic::sim
 {
@@ -137,6 +142,16 @@ TEST(Stats, SummaryMoments)
     EXPECT_DOUBLE_EQ(s.min(), 1.0);
     EXPECT_DOUBLE_EQ(s.max(), 4.0);
     EXPECT_DOUBLE_EQ(s.variance(), 1.25);
+}
+
+TEST(Stats, SummaryVarianceNeverNegative)
+{
+    // sumSq/n - mean^2 lands a few ulps below zero for equal samples.
+    Summary s;
+    for (int i = 0; i < 3; ++i)
+        s.sample(0.1);
+    EXPECT_GE(s.variance(), 0.0);
+    EXPECT_FALSE(std::isnan(std::sqrt(s.variance())));
 }
 
 TEST(Stats, HistogramBucketsAndPercentiles)
@@ -364,6 +379,207 @@ TEST(Stats, MergeFromCopiesHistogramsMissingInDestination)
     EXPECT_NE(dump.find("only.in.shard.underflow 1"), std::string::npos);
     EXPECT_NE(dump.find("both.p50 10"), std::string::npos);
     EXPECT_NE(dump.find("both.p99 30"), std::string::npos);
+}
+
+std::string
+dumpOf(const StatRegistry &reg)
+{
+    std::ostringstream os;
+    reg.dump(os);
+    return os.str();
+}
+
+std::string
+jsonOf(const StatRegistry &reg)
+{
+    std::ostringstream os;
+    reg.dumpJson(os);
+    return os.str();
+}
+
+TEST(StatId, HandleAndNameReachTheSameStat)
+{
+    StatRegistry reg;
+    const StatId hits("statid.same.hits");
+    const StatId lat("statid.same.lat");
+    EXPECT_EQ(StatId("statid.same.hits").index(), hits.index());
+    EXPECT_EQ(hits.name(), "statid.same.hits");
+
+    reg.counter(hits).increment(2);
+    reg.counter("statid.same.hits").increment(3);
+    EXPECT_EQ(&reg.counter(hits), &reg.counter("statid.same.hits"));
+    EXPECT_EQ(reg.counterValue(hits), 5u);
+    EXPECT_EQ(reg.counterValue("statid.same.hits"), 5u);
+
+    reg.summaryStat(lat).sample(1.0);
+    reg.summaryStat("statid.same.lat").sample(3.0);
+    EXPECT_EQ(&reg.summaryStat(lat), &reg.summaryStat("statid.same.lat"));
+    EXPECT_EQ(reg.summaries().at("statid.same.lat").count(), 2u);
+}
+
+TEST(StatId, InternedButUntouchedNameIsAbsent)
+{
+    const StatId untouched("statid.untouched.never");
+    const StatId touched("statid.untouched.touched");
+    StatRegistry reg;
+    reg.counter(touched).increment();
+    EXPECT_EQ(reg.counterValue(untouched), 0u);
+
+    EXPECT_EQ(reg.counters().count(untouched.name()), 0u);
+    EXPECT_EQ(reg.summaries().count(untouched.name()), 0u);
+    EXPECT_EQ(dumpOf(reg).find("untouched.never"), std::string::npos);
+    EXPECT_EQ(jsonOf(reg).find("untouched.never"), std::string::npos);
+    EXPECT_NE(dumpOf(reg).find("statid.untouched.touched 1"),
+              std::string::npos);
+}
+
+TEST(StatId, RedirectedHandleWritesLandInShardsAndMergeInNodeOrder)
+{
+    const StatId count("statid.redirect.count");
+    const StatId lat("statid.redirect.lat");
+    StatRegistry root;
+    // Fill root's slots first: a live Redirect must still bypass them.
+    root.counter(count).increment();
+    root.summaryStat(lat).sample(0.3);
+
+    const double samples[3] = {0.1, 0.7, 1e-9};
+    std::vector<StatRegistry> shards(3);
+    for (std::size_t n = 0; n < shards.size(); ++n) {
+        StatRegistry::Redirect redirect(&root, &shards[n]);
+        root.counter(count).increment(n + 1);
+        root.summaryStat(lat).sample(samples[n]);
+    }
+    EXPECT_EQ(root.counterValue(count), 1u);
+    for (std::size_t n = 0; n < shards.size(); ++n) {
+        EXPECT_EQ(shards[n].counterValue(count), n + 1);
+        EXPECT_EQ(shards[n].summaries().at(lat.name()).count(), 1u);
+    }
+
+    Summary expected;
+    expected.sample(0.3);
+    for (const StatRegistry &shard : shards) {
+        root.mergeFrom(shard);
+        expected.merge(shard.summaries().at(lat.name()));
+    }
+    EXPECT_EQ(root.counterValue(count), 7u);
+    EXPECT_EQ(root.summaryStat(lat).sum(), expected.sum());
+    EXPECT_EQ(root.summaryStat(lat).sumSquares(), expected.sumSquares());
+}
+
+TEST(StatId, CopiedRegistryDoesNotAliasSourceSlots)
+{
+    const StatId id("statid.copy.count");
+    StatRegistry src;
+    src.counter(id).increment();
+
+    StatRegistry copy = src;
+    copy.counter(id).increment(5);
+    StatRegistry assigned;
+    assigned.counter(id).increment(9);
+    assigned = src;
+    assigned.counter(id).increment(2);
+
+    EXPECT_EQ(src.counterValue(id), 1u);
+    EXPECT_EQ(copy.counterValue(id), 6u);
+    EXPECT_EQ(assigned.counterValue(id), 3u);
+    EXPECT_EQ(&copy.counter(id), &copy.counters().at(id.name()));
+    EXPECT_EQ(&assigned.counter(id), &assigned.counters().at(id.name()));
+}
+
+TEST(StatId, MovedRegistryKeepsValidSlots)
+{
+    const StatId id("statid.move.count");
+    const StatId lat("statid.move.lat");
+    std::vector<StatRegistry> shards(2);
+    shards[1].counter(id).increment();
+    shards[1].summaryStat(lat).sample(2.0);
+
+    // The phased engine moves shard vectors in and out of its resume
+    // state; growth reallocation moves each registry too.
+    std::vector<StatRegistry> moved = std::move(shards);
+    for (int i = 0; i < 64; ++i)
+        moved.emplace_back();
+    moved[1].counter(id).increment(2);
+    moved[1].summaryStat(lat).sample(4.0);
+    EXPECT_EQ(moved[1].counterValue(id), 3u);
+    EXPECT_EQ(&moved[1].counter(id), &moved[1].counters().at(id.name()));
+    EXPECT_EQ(moved[1].summaries().at(lat.name()).count(), 2u);
+
+    StatRegistry assigned;
+    assigned.counter(id).increment(10);
+    assigned = std::move(moved[1]);
+    assigned.counter(id).increment();
+    EXPECT_EQ(assigned.counterValue(id), 4u);
+    EXPECT_EQ(&assigned.counter(id), &assigned.counters().at(id.name()));
+}
+
+TEST(StatId, RestoreAfterHandleUseLeavesHandlesOnRestoredValues)
+{
+    const StatId id("statid.restore.count");
+    const StatId lat("statid.restore.lat");
+    const StatId extra("statid.restore.extra");
+    StatRegistry saved;
+    saved.counter(id).increment(3);
+    saved.summaryStat(lat).sample(5.0);
+
+    std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) / "statid_restore.smck";
+    {
+        std::ofstream os(path, std::ios::binary);
+        snap::Writer w(os);
+        w.begin(snap::Section::kStats);
+        snap::saveRegistry(w, saved);
+        w.end();
+        w.finish();
+    }
+
+    StatRegistry reg;
+    reg.counter(id).increment(40);
+    reg.summaryStat(lat).sample(1.0);
+    reg.counter(extra).increment(7);
+    snap::Reader r(path.string());
+    r.open(snap::Section::kStats);
+    snap::restoreRegistry(r, reg);
+
+    EXPECT_EQ(reg.counter(id).value(), 3u);
+    EXPECT_EQ(reg.summaryStat(lat).count(), 1u);
+    EXPECT_EQ(reg.summaryStat(lat).sum(), 5.0);
+    EXPECT_EQ(reg.counter(extra).value(), 0u);
+    reg.counter(id).increment();
+    EXPECT_EQ(reg.counterValue("statid.restore.count"), 4u);
+    std::filesystem::remove(path);
+}
+
+TEST(StatId, InternTableIsSafeAcrossWorkerThreads)
+{
+    constexpr int kThreads = 4;
+    constexpr int kNames = 16;
+    StatRegistry root;
+    std::vector<StatRegistry> shards(kThreads);
+    std::vector<std::vector<std::uint32_t>> ids(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            StatRegistry::Redirect redirect(&root, &shards[t]);
+            for (int i = 0; i < kNames; ++i) {
+                StatId id("statid.thread." + std::to_string(i));
+                ids[t].push_back(id.index());
+                root.counter(id).increment(t + 1);
+                root.counter(StatId(id.name())).increment();
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    for (const StatRegistry &shard : shards)
+        root.mergeFrom(shard);
+
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(ids[t], ids[0]);
+    for (int i = 0; i < kNames; ++i) {
+        EXPECT_EQ(root.counterValue("statid.thread." + std::to_string(i)),
+                  1u + 2u + 3u + 4u + kThreads);
+    }
 }
 
 } // namespace
