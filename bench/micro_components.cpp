@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the substrate components: packet
  * (de)serialization, mesh routing, cache arrays, the coherent-system
- * access walk, stat updates, the event queue and the RISC-V interpreter.
+ * access walk, the guest-OS fiber yield, stat updates, the event queue
+ * and the RISC-V interpreter.
  * These guard the simulator's own performance (host-side), not target
  * metrics.
  */
@@ -14,6 +15,7 @@
 #include "cache/coherent_system.hpp"
 #include "mem/main_memory.hpp"
 #include "noc/network.hpp"
+#include "os/guest_system.hpp"
 #include "riscv/assembler.hpp"
 #include "riscv/core.hpp"
 #include "sim/event_queue.hpp"
@@ -107,6 +109,39 @@ BM_CoherentAccessL1Hit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CoherentAccessL1Hit);
+
+// Guest-OS scheduler yield: two compute-only workers in one phase. Each
+// change of the running worker is one yield (fiber -> scheduler ->
+// fiber); per_yield is the wall time per yield, phase setup included.
+void
+BM_GuestPhaseYield(benchmark::State &state)
+{
+    cache::Geometry geo;
+    geo.nodes = 1;
+    geo.tilesPerNode = 2;
+    cache::CoherentSystem cs(geo, cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    os::GuestSystem guest(cs, os::NumaMode::kOn);
+    constexpr int kSteps = 1 << 15;
+    std::uint64_t yields = 0;
+    for (auto _ : state) {
+        const os::Worker *last = nullptr;
+        guest.parallelPhase({0, 1}, [&](os::Worker &w) {
+            for (int i = 0; i < kSteps; ++i) {
+                w.compute(200);
+                if (last != &w) {
+                    yields += last != nullptr;
+                    last = &w;
+                }
+            }
+        });
+        benchmark::DoNotOptimize(yields);
+    }
+    state.counters["per_yield"] = benchmark::Counter(
+        static_cast<double>(yields),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GuestPhaseYield);
 
 // Per-event stat update cost. redirect:1 binds a shard with a Redirect,
 // as every node-phase write under the phased engine does.

@@ -1,28 +1,132 @@
 #include "os/guest_system.hpp"
 
-#include <ucontext.h>
-
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #include "sim/log.hpp"
+
+#if defined(__x86_64__)
+// smappicFiberSwitch(saveSp, loadSp) pushes the SysV callee-saved
+// registers (rbx, rbp, r12-r15) and the MXCSR and x87 control words onto
+// the running stack, stores the stack pointer to *saveSp, then loads
+// loadSp and pops the same frame from it. The caller-saved registers
+// need no saving: the compiler already treats them as clobbered by the
+// call. smappicFiberStart is where a new fiber's first switch returns
+// to: it calls the entry function in r13 with the argument in r12. Both
+// labels are local to this object file.
+extern "C" void smappicFiberSwitch(void **saveSp, void *loadSp);
+extern "C" void smappicFiberStart();
+asm(R"(
+    .pushsection .text
+    .p2align 4
+smappicFiberSwitch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+
+    .p2align 4
+smappicFiberStart:
+    movq %r12, %rdi
+    callq *%r13
+    ud2
+    .popsection
+)");
+#endif
 
 namespace smappic::os
 {
 
+namespace
+{
+
+/** One end of a fiber switch: a task's fiber or the scheduler's stack. */
+struct FiberContext
+{
+#if defined(__x86_64__)
+    void *sp = nullptr; // The registers are saved on the stack itself.
+#else
+    ucontext_t uc{};
+#endif
+    // Stack bounds for ASan. The scheduler learns its own on the first
+    // switch into a fiber.
+    const void *stackBottom = nullptr;
+    std::size_t stackSize = 0;
+    void *tsanFiber = nullptr;
+};
+
 /**
- * Phase scheduler: runs each worker's phase body on its own fiber
- * (ucontext) and interleaves fibers in virtual-time order with a small
- * quantum. This keeps request arrival times at shared resources (LLC
- * slices, DRAM channels, PCIe links) approximately sorted, so the
- * next-free-time servers model *contention* rather than accidentally
- * serializing one worker behind another.
+ * The one switch point: saves the running context into @p from and
+ * resumes @p to. @p fromFinished marks a fiber's last switch, after
+ * which @p from is never resumed.
+ */
+void
+switchTo(FiberContext &from, FiberContext &to,
+         [[maybe_unused]] bool fromFinished = false)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    void *fakeStack = nullptr;
+    __sanitizer_start_switch_fiber(fromFinished ? nullptr : &fakeStack,
+                                   to.stackBottom, to.stackSize);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(to.tsanFiber, 0);
+#endif
+#if defined(__x86_64__)
+    smappicFiberSwitch(&from.sp, to.sp);
+#else
+    swapcontext(&from.uc, &to.uc);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
+}
+
+} // namespace
+
+/**
+ * Phase scheduler: runs each worker's phase body on its own fiber and
+ * interleaves fibers in virtual-time order with a small quantum. This
+ * keeps request arrival times at shared resources (LLC slices, DRAM
+ * channels, PCIe links) approximately sorted, so the next-free-time
+ * servers model *contention* rather than accidentally serializing one
+ * worker behind another. All switching state lives here, none in
+ * statics, so schedulers on different threads never share anything.
  */
 struct GuestSystem::PhaseScheduler
 {
     struct Task
     {
-        ucontext_t ctx{};
+        FiberContext ctx;
         std::vector<std::uint8_t> stack;
         Worker worker;
         bool done = false;
@@ -34,26 +138,97 @@ struct GuestSystem::PhaseScheduler
             : worker(os, tile, start)
         {
         }
+
+#if defined(__SANITIZE_THREAD__)
+        ~Task()
+        {
+            if (ctx.tsanFiber)
+                __tsan_destroy_fiber(ctx.tsanFiber);
+        }
+#endif
     };
 
-    ucontext_t main{};
+    FiberContext main;
     Task *current = nullptr;
     Cycles threshold = ~Cycles{0};
     std::vector<std::unique_ptr<Task>> tasks;
 
+    /** Readies @p task's fiber to enter fiberMain on its own stack, with
+     *  the caller's floating-point control state. */
     static void
-    trampoline(unsigned hi, unsigned lo)
+    prepare(Task &task)
     {
-        auto ptr = (static_cast<std::uintptr_t>(hi) << 32) |
-                   static_cast<std::uintptr_t>(lo);
-        auto *task = reinterpret_cast<Task *>(ptr);
+        FiberContext &ctx = task.ctx;
+        ctx.stackBottom = task.stack.data();
+        ctx.stackSize = task.stack.size();
+#if defined(__SANITIZE_THREAD__)
+        ctx.tsanFiber = __tsan_create_fiber(0);
+        task.sched->main.tsanFiber = __tsan_get_current_fiber();
+#endif
+#if defined(__x86_64__)
+        // The frame smappicFiberSwitch pops, so that the first switch
+        // "returns" into smappicFiberStart with r12/r13 set. rbp = 0
+        // ends frame-pointer stack walks at the fiber's base.
+        struct Frame
+        {
+            std::uint32_t mxcsr;
+            std::uint16_t x87cw, pad;
+            std::uintptr_t r15, r14, r13, r12, rbx, rbp, ret;
+        };
+        Frame f{};
+        asm volatile("stmxcsr %0\n\tfnstcw %1"
+                     : "=m"(f.mxcsr), "=m"(f.x87cw));
+        f.r13 = reinterpret_cast<std::uintptr_t>(&fiberMain);
+        f.r12 = reinterpret_cast<std::uintptr_t>(&task);
+        f.ret = reinterpret_cast<std::uintptr_t>(&smappicFiberStart);
+        // After the pop, rsp sits 16 below the 16-aligned top: the ABI
+        // alignment smappicFiberStart's call needs.
+        std::uint8_t *top = task.stack.data() + task.stack.size();
+        top -= reinterpret_cast<std::uintptr_t>(top) % 16;
+        std::uint8_t *sp = top - 16 - sizeof(Frame);
+        std::memcpy(sp, &f, sizeof(Frame));
+        ctx.sp = sp;
+#else
+        getcontext(&ctx.uc);
+        ctx.uc.uc_stack.ss_sp = task.stack.data();
+        ctx.uc.uc_stack.ss_size = task.stack.size();
+        ctx.uc.uc_link = nullptr;
+        auto ptr = reinterpret_cast<std::uintptr_t>(&task);
+        makecontext(&ctx.uc,
+                    reinterpret_cast<void (*)()>(&ucontextEntry), 2,
+                    static_cast<unsigned>(ptr >> 32),
+                    static_cast<unsigned>(ptr & 0xffffffffu));
+#endif
+    }
+
+#if !defined(__x86_64__)
+    static void
+    ucontextEntry(unsigned hi, unsigned lo)
+    {
+        fiberMain(reinterpret_cast<Task *>(
+            (static_cast<std::uintptr_t>(hi) << 32) |
+            static_cast<std::uintptr_t>(lo)));
+    }
+#endif
+
+    /** Runs the body; no exception unwinds past this frame. Ends with
+     *  the fiber's last switch back to the scheduler. */
+    [[noreturn]] static void
+    fiberMain(Task *task)
+    {
+#if defined(__SANITIZE_ADDRESS__)
+        FiberContext &main = task->sched->main;
+        __sanitizer_finish_switch_fiber(nullptr, &main.stackBottom,
+                                        &main.stackSize);
+#endif
         try {
             (*task->body)(task->worker);
         } catch (...) {
             task->error = std::current_exception();
         }
         task->done = true;
-        // Returning transfers to uc_link (the scheduler's main context).
+        switchTo(task->ctx, task->sched->main, true);
+        std::abort(); // A finished fiber is never resumed.
     }
 };
 
@@ -65,7 +240,7 @@ Worker::maybeYield()
         return;
     if (clock_ <= s->threshold)
         return;
-    swapcontext(&s->current->ctx, &s->main);
+    switchTo(s->current->ctx, s->main);
 }
 
 NodeId
@@ -252,16 +427,7 @@ GuestSystem::parallelPhase(const std::vector<GlobalTileId> &tiles,
         task->body = &body;
         task->sched = &sched;
         task->stack.resize(kStackBytes);
-        getcontext(&task->ctx);
-        task->ctx.uc_stack.ss_sp = task->stack.data();
-        task->ctx.uc_stack.ss_size = task->stack.size();
-        task->ctx.uc_link = &sched.main;
-        auto ptr = reinterpret_cast<std::uintptr_t>(task.get());
-        makecontext(&task->ctx,
-                    reinterpret_cast<void (*)()>(
-                        &PhaseScheduler::trampoline),
-                    2, static_cast<unsigned>(ptr >> 32),
-                    static_cast<unsigned>(ptr & 0xffffffffu));
+        PhaseScheduler::prepare(*task);
         sched.tasks.push_back(std::move(task));
     }
 
@@ -287,7 +453,7 @@ GuestSystem::parallelPhase(const std::vector<GlobalTileId> &tiles,
         sched.threshold =
             second == ~Cycles{0} ? ~Cycles{0} : second + quantum_;
         sched.current = next;
-        swapcontext(&sched.main, &next->ctx);
+        switchTo(sched.main, next->ctx);
         sched.current = nullptr;
         if (next->done && next->error && !first_error)
             first_error = next->error;

@@ -887,6 +887,9 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
         }
     }
     std::vector<bool> wedged(nodes, false);
+    std::vector<std::string> wedge_sites(wedge_armed ? nodes : 0);
+    for (std::uint32_t n = 0; n < wedge_sites.size(); ++n)
+        wedge_sites[n] = strfmt("node.wedge.node%u", n);
     bool wedge_disarmed = false;
     std::uint64_t wedge_count = 0;
 
@@ -1072,8 +1075,7 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
             for (std::uint32_t n = 0; n < nodes; ++n) {
                 if (wedged[n])
                     continue;
-                if (faultInjector_->decide(
-                        strfmt("node.wedge.node%u", n))) {
+                if (faultInjector_->decide(wedge_sites[n])) {
                     wedged[n] = true;
                     ++wedge_count;
                     stats_.counter(kFaultNodeWedge).increment();

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <stdexcept>
+
 #include "os/guest_system.hpp"
 #include "sim/log.hpp"
 
@@ -161,6 +164,96 @@ TEST(GuestSystem, AmoAddIsAtomicFunctionally)
     os.parallelPhase({0}, [&](Worker &w) {
         EXPECT_EQ(w.load(ctr), 40u);
     });
+}
+
+TEST(GuestSystem, FiberExceptionReachesCallerAndNextPhaseRuns)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    std::vector<GlobalTileId> tiles = {0, 4, 8, 12};
+    int started = 0;
+    int finished = 0;
+    int startedAtThrow = -1;
+    int finishedAtThrow = -1;
+    try {
+        os.parallelPhase(tiles, [&](Worker &w) {
+            ++started;
+            for (int i = 0; i < 100; ++i) {
+                w.compute(100); // Interleaves the four fibers.
+                if (w.tile() == 8 && i == 20) {
+                    startedAtThrow = started;
+                    finishedAtThrow = finished;
+                    throw std::runtime_error("fiber on tile 8");
+                }
+            }
+            ++finished;
+        });
+        FAIL() << "the fiber's exception was swallowed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "fiber on tile 8");
+    }
+    // The other three were suspended mid-body when tile 8 threw.
+    EXPECT_EQ(startedAtThrow, 4);
+    EXPECT_EQ(finishedAtThrow, 0);
+
+    int completed = 0;
+    os.parallelPhase(tiles, [&](Worker &w) {
+        for (int i = 0; i < 100; ++i)
+            w.compute(100);
+        ++completed;
+    });
+    EXPECT_EQ(completed, 4);
+}
+
+TEST(GuestSystem, FiberFloatingPointControlIsPerFiber)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    const double nearest = one / three;
+    int wrong = 0;
+    os.parallelPhase({0, 4, 8, 12}, [&](Worker &w) {
+        const bool upward = w.tile() == 0;
+        if (upward)
+            std::fesetround(FE_UPWARD);
+        for (int i = 0; i < 20; ++i) {
+            w.compute(100); // Yields to and from the other fibers.
+            double third = one / three;
+            if (std::fegetround() != (upward ? FE_UPWARD : FE_TONEAREST))
+                ++wrong;
+            if (upward ? !(third > nearest) : third != nearest)
+                ++wrong;
+        }
+    });
+    EXPECT_EQ(wrong, 0);
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(one / three, nearest);
+}
+
+TEST(GuestSystem, FiberBodyMayUseDeepStack)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    constexpr std::size_t kWords = (128 << 10) / sizeof(std::uint64_t);
+    int intact = 0;
+    os.parallelPhase({0, 4}, [&](Worker &w) {
+        volatile std::uint64_t buf[kWords]; // ~128 KiB of fiber stack.
+        for (std::size_t i = 0; i < kWords; ++i) {
+            buf[i] = i * 31 + w.tile();
+            if (i % 4096 == 0)
+                w.compute(200); // Suspend with the buffer partly written.
+        }
+        bool ok = true;
+        for (std::size_t i = 0; i < kWords; ++i)
+            ok = ok && buf[i] == i * 31 + w.tile();
+        intact += ok ? 1 : 0;
+    });
+    EXPECT_EQ(intact, 2);
 }
 
 } // namespace
