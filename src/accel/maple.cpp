@@ -89,7 +89,7 @@ MapleEngine::consume(GlobalTileId consumer, Cycles now, Cycles &lat,
     }
 
     // MMIO pop: consumer -> engine tile -> back.
-    noc::MeshTopology topo(cs_.geometry().tilesPerNode);
+    const noc::MeshTopology &topo = cs_.topology();
     std::uint32_t hops = 0;
     if (consumer / cs_.geometry().tilesPerNode ==
         tile_ / cs_.geometry().tilesPerNode) {

@@ -93,28 +93,29 @@ CacheArray::setState(Addr addr, std::uint32_t state)
 std::optional<Victim>
 CacheArray::insert(Addr addr, std::uint32_t state)
 {
-    panicIf(find(addr) != nullptr, "insert() of already-resident line");
     Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
     std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
 
-    Entry *slot = nullptr;
+    // One pass: check residency and pick the first invalid way, else the
+    // true-LRU one.
+    Entry *free = nullptr;
+    Entry *lru = nullptr;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         Entry &e = entries_[base + w];
         if (!e.valid) {
-            slot = &e;
-            break;
+            if (!free)
+                free = &e;
+            continue;
         }
+        panicIf(e.line == line, "insert() of already-resident line");
+        if (!lru || e.lastUse < lru->lastUse)
+            lru = &e;
     }
 
     std::optional<Victim> victim;
+    Entry *slot = free;
     if (!slot) {
-        // Evict true-LRU.
-        slot = &entries_[base];
-        for (std::uint32_t w = 1; w < ways_; ++w) {
-            Entry &e = entries_[base + w];
-            if (e.lastUse < slot->lastUse)
-                slot = &e;
-        }
+        slot = lru;
         victim = Victim{slot->line, slot->state};
     }
 

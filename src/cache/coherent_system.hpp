@@ -338,6 +338,7 @@ class CoherentSystem
 
     const Geometry &geometry() const { return geo_; }
     const TimingParams &timing() const { return timing_; }
+    const noc::MeshTopology &topology() const { return topo_; }
     HomingPolicy homing() const { return homing_; }
 
     /** Drops all cached state (directory, arrays); keeps data. */

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "noc/packet.hpp"
 #include "sim/log.hpp"
@@ -43,6 +44,16 @@ class MeshTopology
         while (cols_ * cols_ < tiles)
             ++cols_;
         rows_ = (tiles + cols_ - 1) / cols_;
+        // Index tiles_ stands for kOffChipTile on either side.
+        const std::uint32_t n = tiles_ + 1;
+        hops_.resize(static_cast<std::size_t>(n) * n);
+        for (std::uint32_t a = 0; a < n; ++a) {
+            for (std::uint32_t b = 0; b < n; ++b) {
+                hops_[static_cast<std::size_t>(a) * n + b] =
+                    static_cast<std::uint16_t>(coordHops(tileOfIndex(a),
+                                                         tileOfIndex(b)));
+            }
+        }
     }
 
     std::uint32_t tiles() const { return tiles_; }
@@ -75,10 +86,8 @@ class MeshTopology
     std::uint32_t
     hops(TileId from, TileId to) const
     {
-        Coord a = coordOf(from);
-        Coord b = coordOf(to);
-        return static_cast<std::uint32_t>(std::abs(a.x - b.x) +
-                                          std::abs(a.y - b.y));
+        return hops_[static_cast<std::size_t>(indexOf(from)) * (tiles_ + 1) +
+                     indexOf(to)];
     }
 
     /** Hops from @p tile to the off-chip port (tile 0 then one north hop). */
@@ -89,9 +98,35 @@ class MeshTopology
     }
 
   private:
+    /** Manhattan distance between the two tiles' coordinates. */
+    std::uint32_t
+    coordHops(TileId from, TileId to) const
+    {
+        Coord a = coordOf(from);
+        Coord b = coordOf(to);
+        return static_cast<std::uint32_t>(std::abs(a.x - b.x) +
+                                          std::abs(a.y - b.y));
+    }
+
+    /** Row/column of @p tile in hops_; kOffChipTile maps to tiles_. */
+    std::uint32_t
+    indexOf(TileId tile) const
+    {
+        panicIf(tile >= tiles_ && tile != kOffChipTile,
+                "tile id out of range");
+        return tile == kOffChipTile ? tiles_ : tile;
+    }
+
+    TileId
+    tileOfIndex(std::uint32_t index) const
+    {
+        return index == tiles_ ? kOffChipTile : index;
+    }
+
     std::uint32_t tiles_;
     std::uint32_t cols_ = 1;
     std::uint32_t rows_ = 1;
+    std::vector<std::uint16_t> hops_; ///< (tiles_+1)^2, row = source.
 };
 
 } // namespace smappic::noc

@@ -382,9 +382,10 @@ GuestSystem::translate(Addr va, NodeId toucher)
     auto it = pageTable_.find(vpn);
     if (it == pageTable_.end()) {
         const VmRange *range = rangeOf(va);
-        fatalIf(range == nullptr,
-                strfmt("access to unmapped address 0x%llx",
-                       static_cast<unsigned long long>(va)));
+        if (range == nullptr) {
+            fatal(strfmt("access to unmapped address 0x%llx",
+                         static_cast<unsigned long long>(va)));
+        }
         NodeId target;
         if (range->policy == AllocPolicy::kOnNode) {
             target = range->node;

@@ -9,6 +9,7 @@
 #include <cstdarg>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace smappic
 {
@@ -42,20 +43,25 @@ void warn(const std::string &msg);
 /** Prints an informational message to stderr. */
 void inform(const std::string &msg);
 
-/** Fails with panic() when @p cond is true. */
+/**
+ * Fails with panic() when @p cond is true. The message is a view so a
+ * literal costs nothing while the check passes; the std::string is built
+ * only in the failing branch. A message built by the caller (strfmt, +)
+ * is still built every time: keep those off per-access paths.
+ */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        panic(msg);
+    if (cond) [[unlikely]]
+        panic(std::string(msg));
 }
 
-/** Fails with fatal() when @p cond is true. */
+/** Fails with fatal() when @p cond is true; see panicIf(). */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, std::string_view msg)
 {
-    if (cond)
-        fatal(msg);
+    if (cond) [[unlikely]]
+        fatal(std::string(msg));
 }
 
 } // namespace smappic

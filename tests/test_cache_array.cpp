@@ -101,6 +101,23 @@ TEST(CacheArray, DoubleInsertPanics)
     EXPECT_THROW(c.insert(0x3000), PanicError);
 }
 
+TEST(CacheArray, InsertFillsFirstHoleAndStillSeesLinesBehindIt)
+{
+    CacheArray c(256, 4, 64); // One set, 4 ways.
+    for (Addr a = 0; a < 4; ++a)
+        c.insert(a * 256);
+    c.invalidate(1 * 256);
+    c.invalidate(2 * 256);
+    // Way 3 sits behind two free ways; it must still count as resident.
+    EXPECT_THROW(c.insert(3 * 256), PanicError);
+    EXPECT_FALSE(c.insert(4 * 256).has_value()); // Takes way 1.
+    EXPECT_FALSE(c.insert(5 * 256).has_value()); // Takes way 2.
+    // Full again: the victim is the least recently used, line 0.
+    auto victim = c.insert(6 * 256);
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(victim->line, 0u);
+}
+
 TEST(CacheArray, FlushAndOccupancy)
 {
     CacheArray c(4 << 10, 4);

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -247,6 +249,66 @@ TEST(Log, PanicAndFatalThrowDistinctTypes)
     EXPECT_NO_THROW(panicIf(false, "x"));
     EXPECT_THROW(fatalIf(true, "y"), FatalError);
     EXPECT_NO_THROW(fatalIf(false, "y"));
+}
+
+/** what() of the error @p fn throws, or "" when it throws none. */
+template <typename Error, typename Fn>
+std::string
+errorText(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Log, CheckMessagesPassThroughExactly)
+{
+    const std::string who = "tile 7";
+    const std::string_view unterminated =
+        std::string_view("line out of rangeXYZ").substr(0, 17);
+    ASSERT_EQ(unterminated.data()[17], 'X');
+
+    auto panics = [](std::string_view msg) {
+        return errorText<PanicError>([&] { panicIf(true, msg); });
+    };
+    auto fatals = [](std::string_view msg) {
+        return errorText<FatalError>([&] { fatalIf(true, msg); });
+    };
+
+    EXPECT_EQ(errorText<PanicError>([] {
+                  panicIf(true, "access from unknown tile");
+              }),
+              "panic: access from unknown tile");
+    EXPECT_EQ(errorText<FatalError>([] {
+                  fatalIf(true, "access from unknown tile");
+              }),
+              "fatal: access from unknown tile");
+    EXPECT_EQ(errorText<PanicError>([&] {
+                  panicIf(true, "bad access from " + who + " here");
+              }),
+              "panic: bad access from tile 7 here");
+    EXPECT_EQ(errorText<FatalError>([&] {
+                  fatalIf(true, "bad access from " + who + " here");
+              }),
+              "fatal: bad access from tile 7 here");
+    EXPECT_EQ(errorText<PanicError>([] {
+                  panicIf(true, strfmt("address 0x%llx", 0x1234ULL));
+              }),
+              "panic: address 0x1234");
+    EXPECT_EQ(errorText<FatalError>([] {
+                  fatalIf(true, strfmt("address 0x%llx", 0x1234ULL));
+              }),
+              "fatal: address 0x1234");
+    EXPECT_EQ(panics(unterminated), "panic: line out of range");
+    EXPECT_EQ(fatals(unterminated), "fatal: line out of range");
+
+    EXPECT_NO_THROW(panicIf(false, "access from unknown tile"));
+    EXPECT_NO_THROW(fatalIf(false, "bad access from " + who + " here"));
+    EXPECT_NO_THROW(panicIf(false, strfmt("address 0x%llx", 0x1234ULL)));
+    EXPECT_NO_THROW(fatalIf(false, unterminated));
 }
 
 TEST(Log, StrfmtFormats)
