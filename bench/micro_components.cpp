@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the substrate components: packet
- * (de)serialization, mesh routing, cache arrays, the coherent-system
- * access walk, the guest-OS fiber yield, stat updates, the event queue
- * and the RISC-V interpreter.
+ * (de)serialization, cache arrays, the coherent-system access walk, the
+ * guest-OS fiber yield, stat updates, the event queue and the RISC-V
+ * interpreter.
  * These guard the simulator's own performance (host-side), not target
  * metrics.
  */
@@ -14,7 +14,7 @@
 
 #include "cache/coherent_system.hpp"
 #include "mem/main_memory.hpp"
-#include "noc/network.hpp"
+#include "noc/packet.hpp"
 #include "os/guest_system.hpp"
 #include "riscv/assembler.hpp"
 #include "riscv/core.hpp"
@@ -42,43 +42,6 @@ BM_PacketSerializeRoundTrip(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PacketSerializeRoundTrip);
-
-void
-BM_MeshNetworkTick(benchmark::State &state)
-{
-    noc::MeshNetwork net(noc::MeshTopology(12));
-    sim::Xoroshiro rng(1);
-    int sink = 0;
-    for (TileId t = 0; t < 12; ++t)
-        net.setDeliverFn(t, [&](const noc::Packet &) { ++sink; });
-    for (auto _ : state) {
-        // Keep traffic flowing.
-        noc::Packet p;
-        p.srcTile = static_cast<TileId>(rng.below(12));
-        p.dstTile = static_cast<TileId>(rng.below(12));
-        if (p.dstTile == p.srcTile)
-            p.dstTile = (p.dstTile + 1) % 12;
-        p.payload.assign(8, 7);
-        net.inject(p);
-        net.tick();
-        net.tick();
-    }
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_MeshNetworkTick);
-
-void
-BM_MeshNetworkIdleTick(benchmark::State &state)
-{
-    // The uncore idle-skip fast path: a drained mesh ticks in O(1)
-    // (flits-in-flight early-out), so cycle-accurate spans between
-    // sparse packets cost almost nothing even when not bulk-skipped.
-    noc::MeshNetwork net(noc::MeshTopology(12));
-    for (auto _ : state)
-        net.tick();
-    benchmark::DoNotOptimize(net.now());
-}
-BENCHMARK(BM_MeshNetworkIdleTick);
 
 void
 BM_CacheArrayLookup(benchmark::State &state)

@@ -131,8 +131,8 @@ class InterNodeBridge : public axi::Target
     void setTracer(obs::Tracer *tracer);
 
     /**
-     * Send side: accepts a NoC packet leaving this node (ejected from the
-     * mesh's off-chip port with dstNode != this node).
+     * Send side: accepts a NoC packet leaving this node (one that reached
+     * the off-chip port with dstNode != this node).
      */
     void sendPacket(const noc::Packet &pkt);
 

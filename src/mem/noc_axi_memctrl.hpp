@@ -64,9 +64,8 @@ class NocAxiMemController
 
     /**
      * Accepts one request packet from the NoC (deserializer input).
-     * Requests beyond the management buffer are queued without loss; real
-     * hardware would exert NoC backpressure, which the credit-carrying
-     * mesh models upstream.
+     * Requests beyond the management buffer are queued without loss, where
+     * real hardware would exert NoC backpressure.
      */
     void handlePacket(const noc::Packet &pkt);
 

@@ -4,9 +4,11 @@
  *
  * BYOC interconnects tiles with three physical 64-bit-flit networks (NoC1:
  * requests, NoC2: responses/data, NoC3: writebacks/acks) to guarantee
- * protocol-level deadlock freedom. SMAPPIC's inter-node bridge and NoC-AXI4
- * memory controller both (de)serialize these packets, so the flit encoding
- * here is an explicit, round-trippable bit layout.
+ * protocol-level deadlock freedom. The intra-node meshes are timed at
+ * transaction level (cache::CoherentSystem); this packet format is the
+ * wire format of SMAPPIC's inter-node bridge, the NoC-AXI4 memory
+ * controller and the interrupt packetizer, so the flit encoding here is
+ * an explicit, round-trippable bit layout.
  */
 
 #pragma once

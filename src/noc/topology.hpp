@@ -1,7 +1,7 @@
 /**
  * @file
- * 2D-mesh geometry shared by the flit-level router network and the
- * transaction-level timing model (which converts routes to hop counts).
+ * 2D-mesh geometry of one BYOC node. The transaction-level timing model
+ * (cache::CoherentSystem) converts routes to hop counts with it.
  */
 
 #pragma once

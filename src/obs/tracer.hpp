@@ -73,8 +73,8 @@ enum class EventKind : std::uint8_t
     kCacheMiss = 0,   ///< Miss-path walk (arg=line, extra=ServiceLevel).
     kCacheAtomic = 1, ///< Atomic executed at the home LLC.
     kNocPath = 2,     ///< Transaction-level NoC traversal (arg=route).
-    kNocHop = 3,      ///< Flit-level head-flit router hop.
-    kNocDeliver = 4,  ///< Flit-level packet ejection.
+    kNocHop = 3,      ///< Router hop; no model emits it now.
+    kNocDeliver = 4,  ///< Packet ejection; no model emits it now.
     kPcieWrite = 5,   ///< Fabric write issued (duration=one-way transit).
     kPcieRead = 6,    ///< Fabric read issued.
     kBridgeTx = 7,    ///< Encapsulated AXI frame sent (extra=valid mask).
@@ -153,8 +153,8 @@ event(EventKind kind)
     return ev;
 }
 
-/** Flit-level packet sink id used in the tile field (mirrors the NoC's
- *  off-chip hub convention). */
+/** Tile-field value for an event at a node's off-chip hub rather than
+ *  at a tile (mirrors noc::kOffChipTile). */
 inline constexpr std::uint16_t kTraceOffChip = 0xffff;
 
 /** Tracing knobs carried by PrototypeConfig. */

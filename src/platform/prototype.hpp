@@ -217,10 +217,6 @@ class Prototype
      */
     void writeTrace(const std::string &path = "") const;
     bridge::InterNodeBridge &bridge(NodeId n) { return *bridges_.at(n); }
-    mem::NocAxiMemController &memController(NodeId n)
-    {
-        return *memctrls_.at(n);
-    }
     riscv::ClintController &clint() { return *clint_; }
     riscv::PlicController &plic() { return *plic_; }
     io::Uart16550 &consoleUart(NodeId n) { return *uarts_.at(n * 2); }

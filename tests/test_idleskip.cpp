@@ -1,9 +1,8 @@
 /**
  * @file
  * Uncore idle-skip tests: the event-horizon queries every skip decision
- * rests on, the active-router mesh worklist against the reference
- * full-sweep tick, the sequential engine's parked-core bookkeeping, and
- * the replicate-or-change-nothing contract — stats, traces and SMCK
+ * rests on, the sequential engine's parked-core bookkeeping, and the
+ * replicate-or-change-nothing contract — stats, traces and SMCK
  * checkpoints byte-identical with uncore.idleSkip on or off, for the
  * sequential and phased engines at 1/2/4 workers, including runs where
  * the watchdog and periodic checkpoints are live at skipped barriers.
@@ -19,13 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "mem/noc_axi_memctrl.hpp"
-#include "noc/network.hpp"
 #include "obs/trace_io.hpp"
 #include "platform/prototype.hpp"
 #include "riscv/interrupts.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/random.hpp"
 #include "sim/watchdog.hpp"
 #include "snap/snapshot.hpp"
 
@@ -85,32 +81,6 @@ TEST(IdleSkipHorizon, ClintNextTimerCycle)
     EXPECT_EQ(clint.nextTimerCycle(), sim::kNoDeadline);
 }
 
-TEST(IdleSkipHorizon, MeshNextBusyCycleAndAdvance)
-{
-    noc::MeshNetwork net(noc::MeshTopology(4));
-    int delivered = 0;
-    for (TileId t = 0; t < 4; ++t)
-        net.setDeliverFn(t, [&](const noc::Packet &) { ++delivered; });
-    EXPECT_TRUE(net.idle());
-    EXPECT_EQ(net.nextBusyCycle(), sim::kNoDeadline);
-
-    net.advance(1000);
-    EXPECT_EQ(net.now(), 1000u);
-    EXPECT_TRUE(net.idle());
-
-    noc::Packet p;
-    p.srcTile = 0;
-    p.dstTile = 3;
-    p.payload.assign(4, 9);
-    net.inject(p);
-    EXPECT_FALSE(net.idle());
-    EXPECT_EQ(net.nextBusyCycle(), net.now());
-    net.run(100);
-    EXPECT_EQ(delivered, 1);
-    EXPECT_TRUE(net.idle());
-    EXPECT_EQ(net.nextBusyCycle(), sim::kNoDeadline);
-}
-
 TEST(IdleSkipHorizon, WatchdogNextDeadline)
 {
     sim::WatchdogConfig cfg;
@@ -127,129 +97,6 @@ TEST(IdleSkipHorizon, WatchdogNextDeadline)
     ASSERT_EQ(verdict.stalledNodes.size(), 1u);
     EXPECT_EQ(verdict.stalledNodes[0], 1u);
     EXPECT_EQ(wd.nextDeadline(), 220u); // Node 1 rebased at the fire.
-}
-
-// --------------------------- active-router worklist vs full sweep
-
-/** Drives two identically configured meshes — one on the active-router
- *  worklist, one forced onto the reference full sweep — through the
- *  same randomized schedule of bursts and idle gaps, diffing the entire
- *  observable surface every cycle: delivery log, hop/delivery counters,
- *  buffered-flit occupancy, idle() and the binary trace. */
-TEST(IdleSkipMeshEquivalence, RandomTrafficMatchesFullSweep)
-{
-    constexpr std::uint32_t kTiles = 12;
-    noc::MeshNetwork active{noc::MeshTopology(kTiles)};
-    noc::MeshNetwork sweep{noc::MeshTopology(kTiles)};
-    sweep.setSweepTick(true);
-
-    obs::Tracer activeTracer;
-    obs::Tracer sweepTracer;
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    activeTracer.configure(tc, 1);
-    sweepTracer.configure(tc, 1);
-    active.setTracer(&activeTracer);
-    sweep.setTracer(&sweepTracer);
-
-    std::vector<std::string> activeLog;
-    std::vector<std::string> sweepLog;
-    auto logTo = [](std::vector<std::string> &log, TileId tile) {
-        return [&log, tile](const noc::Packet &p) {
-            std::ostringstream os;
-            os << tile << ":" << p.srcTile << ":" << int(p.mshr) << ":"
-               << p.payload.size();
-            log.push_back(os.str());
-        };
-    };
-    for (TileId t = 0; t < kTiles; ++t) {
-        active.setDeliverFn(t, logTo(activeLog, t));
-        sweep.setDeliverFn(t, logTo(sweepLog, t));
-    }
-
-    sim::Xoroshiro rng(1234);
-    std::uint8_t mshr = 0;
-    for (int step = 0; step < 400; ++step) {
-        // Random burst: 0-3 packets with random endpoints and lengths,
-        // with occasional multi-hundred-cycle idle gaps to force the
-        // worklist through drain/compact/reactivate transitions.
-        std::uint64_t burst = rng.below(4);
-        for (std::uint64_t i = 0; i < burst; ++i) {
-            noc::Packet p;
-            p.srcTile = static_cast<TileId>(rng.below(kTiles));
-            p.dstTile = static_cast<TileId>(rng.below(kTiles));
-            if (p.dstTile == p.srcTile)
-                p.dstTile = (p.dstTile + 1) % kTiles;
-            p.mshr = mshr++;
-            p.payload.assign(rng.below(9), 0x5a);
-            active.inject(p);
-            sweep.inject(p);
-        }
-        Cycles gap = rng.below(10) == 0 ? 200 + rng.below(300)
-                                        : 1 + rng.below(4);
-        for (Cycles c = 0; c < gap; ++c) {
-            active.tick();
-            sweep.tick();
-            ASSERT_EQ(active.now(), sweep.now());
-            ASSERT_EQ(active.idle(), sweep.idle());
-            ASSERT_EQ(active.bufferedFlits(), sweep.bufferedFlits());
-            ASSERT_EQ(active.deliveredPackets(), sweep.deliveredPackets());
-            ASSERT_EQ(active.flitHops(), sweep.flitHops());
-        }
-        ASSERT_EQ(activeLog, sweepLog) << "diverged at step " << step;
-    }
-    // Drain whatever is still in flight and compare the final surface.
-    active.run(2000);
-    sweep.run(2000);
-    EXPECT_TRUE(active.idle());
-    EXPECT_TRUE(sweep.idle());
-    EXPECT_EQ(activeLog, sweepLog);
-    EXPECT_GT(activeLog.size(), 100u) << "workload too light to mean much";
-
-    std::ostringstream activeBin;
-    std::ostringstream sweepBin;
-    obs::writeBinary(activeTracer, activeBin);
-    obs::writeBinary(sweepTracer, sweepBin);
-    EXPECT_EQ(activeBin.str() == sweepBin.str(), true)
-        << "hop/delivery traces diverged";
-}
-
-/** Bulk advance over an idle span is exactly the same as ticking the
- *  cycles away — including for traffic injected afterwards. */
-TEST(IdleSkipMeshEquivalence, AdvanceMatchesIdleTicks)
-{
-    noc::MeshNetwork jumped(noc::MeshTopology(6));
-    noc::MeshNetwork ticked(noc::MeshTopology(6));
-    std::vector<std::string> jumpedLog;
-    std::vector<std::string> tickedLog;
-    auto logTo = [](std::vector<std::string> &log, TileId tile) {
-        return [&log, tile](const noc::Packet &p) {
-            log.push_back(std::to_string(tile) + ":" +
-                          std::to_string(int(p.mshr)));
-        };
-    };
-    for (TileId t = 0; t < 6; ++t) {
-        jumped.setDeliverFn(t, logTo(jumpedLog, t));
-        ticked.setDeliverFn(t, logTo(tickedLog, t));
-    }
-
-    jumped.advance(5000);
-    for (Cycles c = 0; c < 5000; ++c)
-        ticked.tick();
-    ASSERT_EQ(jumped.now(), ticked.now());
-
-    noc::Packet p;
-    p.srcTile = 5;
-    p.dstTile = 0;
-    p.mshr = 42;
-    p.payload.assign(6, 1);
-    jumped.inject(p);
-    ticked.inject(p);
-    jumped.run(200);
-    ticked.run(200);
-    EXPECT_EQ(jumpedLog, tickedLog);
-    EXPECT_EQ(jumped.flitHops(), ticked.flitHops());
-    EXPECT_EQ(jumped.now(), ticked.now());
 }
 
 // ------------------------------- sequential engine parked cores

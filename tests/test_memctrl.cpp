@@ -72,6 +72,7 @@ TEST(NocAxiMemCtrl, FullLineRead)
     ASSERT_EQ(h.responses.size(), 1u);
     const auto &r = h.responses[0];
     EXPECT_EQ(r.type, noc::MsgType::kMemRdResp);
+    EXPECT_EQ(r.noc, noc::NocIndex::kNoc2); // Responses use NoC2.
     EXPECT_EQ(r.dstTile, 4u);
     EXPECT_EQ(r.mshr, 1u);
     ASSERT_EQ(r.payload.size(), 8u);

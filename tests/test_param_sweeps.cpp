@@ -1,18 +1,16 @@
 /**
  * @file
  * Parameterized property sweeps (TEST_P): cache-geometry invariants,
- * NoC-size delivery/credit properties, coherent-system invariants across
- * system shapes, and prototype configurations end to end.
+ * coherent-system invariants across system shapes, and prototype
+ * configurations end to end.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <tuple>
 
 #include "cache/coherent_system.hpp"
-#include "noc/network.hpp"
 #include "platform/prototype.hpp"
 #include "sim/random.hpp"
 
@@ -59,52 +57,6 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheGeom{8 << 10, 4}, CacheGeom{16 << 10, 4},
                       CacheGeom{64 << 10, 4}, CacheGeom{64 << 10, 8},
                       CacheGeom{128 << 10, 16}));
-
-// ---------------- Mesh network size sweep ----------------
-
-using MeshParam = std::tuple<std::uint32_t, std::uint32_t>; // tiles, depth.
-
-class MeshSweep : public ::testing::TestWithParam<MeshParam>
-{
-};
-
-TEST_P(MeshSweep, AllPacketsDeliveredAndBuffersBounded)
-{
-    auto [tiles, depth] = GetParam();
-    noc::MeshNetwork net(noc::MeshTopology(tiles), depth);
-    sim::Xoroshiro rng(tiles * 7 + depth);
-    std::map<TileId, int> got;
-    for (TileId t = 0; t < tiles; ++t)
-        net.setDeliverFn(t, [&got, t](const noc::Packet &) { got[t]++; });
-
-    const int kPackets = 150;
-    std::map<TileId, int> expected;
-    for (int i = 0; i < kPackets; ++i) {
-        noc::Packet p;
-        p.srcTile = static_cast<TileId>(rng.below(tiles));
-        p.dstTile = static_cast<TileId>(rng.below(tiles));
-        p.type = noc::MsgType::kDataResp;
-        p.addr = rng.next();
-        p.payload.assign(rng.below(8), 0x5a);
-        net.inject(p);
-        expected[p.dstTile]++;
-    }
-
-    std::uint64_t cap = static_cast<std::uint64_t>(tiles) * noc::kNumDirs *
-                        depth;
-    for (int c = 0; c < 30000 && !net.idle(); ++c) {
-        net.tick();
-        ASSERT_LE(net.bufferedFlits(), cap);
-    }
-    EXPECT_TRUE(net.idle());
-    for (auto &[t, n] : expected)
-        EXPECT_EQ(got[t], n) << "tile " << t;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, MeshSweep,
-    ::testing::Combine(::testing::Values(1u, 2u, 4u, 5u, 9u, 12u, 16u),
-                       ::testing::Values(2u, 4u, 8u)));
 
 // ---------------- Coherent-system shape sweep ----------------
 

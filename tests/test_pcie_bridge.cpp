@@ -12,6 +12,7 @@
 
 #include "bridge/inter_node_bridge.hpp"
 #include "pcie/pcie_fabric.hpp"
+#include "riscv/interrupts.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 
@@ -175,15 +176,26 @@ struct TwoNodeHarness
 
 TEST(InterNodeBridge, PacketRoundTripsThroughFabric)
 {
-    TwoNodeHarness h;
-    noc::Packet p = h.makePacket(0, 1, 8);
-    h.bridge0.sendPacket(p);
-    h.eq.run();
-    ASSERT_EQ(h.at1.size(), 1u);
-    EXPECT_EQ(h.at1[0], p);
-    EXPECT_EQ(h.bridge0.flitsSent(), 10u);
-    EXPECT_EQ(h.bridge1.flitsReceived(), 10u);
-    EXPECT_TRUE(h.bridge0.sendIdle());
+    // A request carrying a line, a full-line memory read response on
+    // NoC2, and an interrupt packet each arrive unchanged.
+    noc::Packet req = TwoNodeHarness().makePacket(0, 1, 8);
+    noc::Packet resp = req;
+    resp.noc = noc::NocIndex::kNoc2;
+    resp.type = noc::MsgType::kMemRdResp;
+    resp.mshr = 9;
+    noc::Packet irq =
+        riscv::IrqPacketizer::encode(0, 1, 2, 6, riscv::kIrqMsi, true);
+    for (const noc::Packet &p : {req, resp, irq}) {
+        SCOPED_TRACE(static_cast<int>(p.type));
+        TwoNodeHarness h;
+        h.bridge0.sendPacket(p);
+        h.eq.run();
+        ASSERT_EQ(h.at1.size(), 1u);
+        EXPECT_EQ(h.at1[0], p);
+        EXPECT_EQ(h.bridge0.flitsSent(), p.flitCount());
+        EXPECT_EQ(h.bridge1.flitsReceived(), p.flitCount());
+        EXPECT_TRUE(h.bridge0.sendIdle());
+    }
 }
 
 TEST(InterNodeBridge, DeliveryLatencyIncludesPcie)
