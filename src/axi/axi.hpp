@@ -61,8 +61,8 @@ struct ReadResp
 
 /**
  * An AXI4 subordinate (target). Handlers are synchronous at the functional
- * level; timing is layered on by the caller (hard shell, crossbar, bench
- * harness) using sim::QueueServer / sim::TrafficShaper.
+ * level; timing is layered on by the caller (hard shell, PCIe fabric,
+ * bench harness) using sim::QueueServer / sim::TrafficShaper.
  */
 class Target
 {

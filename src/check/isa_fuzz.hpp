@@ -11,14 +11,13 @@
  * `a7=93 ecall` exit stub. Generation is a pure function of the config,
  * so any divergence reproduces from its command line alone.
  *
- * runFuzz() stands up a Prototype with the lockstep checker enabled,
- * runs the generated program under the configured engine (sequential or
- * phased at N workers, decode cache on or off, optionally with a
- * test-only defect armed) and returns the divergence evidence.
- * runFuzzAndMinimize() shrinks a diverging config by halving the
- * instruction count while the failure still reproduces — the
- * torture-harness runAndMinimize discipline — and renders the final
- * `repro:` line.
+ * runFuzz() stands up a Prototype from the config's run knobs with the
+ * lockstep checker enabled, runs the generated program under the
+ * configured engine (sequential or phased at N workers, decode cache on
+ * or off, optionally with a test-only defect armed) and returns the
+ * divergence evidence. Shrinking a divergence (halving the instruction
+ * count) and rendering its repro line are shared with the other seeded
+ * harnesses (check/campaign.hpp).
  */
 
 #pragma once
@@ -28,8 +27,8 @@
 #include <vector>
 
 #include "check/lockstep.hpp"
+#include "platform/prototype.hpp"
 #include "riscv/core.hpp"
-#include "sim/types.hpp"
 
 namespace smappic::check
 {
@@ -50,19 +49,24 @@ const char *mixName(FuzzMix mix);
 /** @throws FatalError on an unknown mix name. */
 FuzzMix parseMix(const std::string &name);
 
+/** Command-line name of a test-only core defect ("mulh",
+ *  "stale-decode"; "none" when unarmed). */
+const char *defectName(riscv::CoreTestMutation defect);
+/** @throws FatalError on an unknown defect name. */
+riscv::CoreTestMutation parseDefect(const std::string &name);
+
 /** One fuzz run, fully determined by its field values. */
 struct FuzzConfig
 {
-    std::string spec = "1x1x2"; ///< Prototype geometry ("FxNxT").
+    FuzzConfig();
+
+    /** Run knobs; every hart runs. Default: 1x1x2, sequential engine.
+     *  runFuzz adds the lockstep checker. */
+    platform::PrototypeConfig platform;
     std::uint64_t seed = 1;
     std::uint32_t count = 256; ///< Instruction slots per hart.
     FuzzMix mix = FuzzMix::kAll;
     bool shared = false;   ///< Sprinkle cross-hart shared-line accesses.
-    std::uint32_t threads = 0; ///< 0 = sequential engine; >=1 = phased.
-    Cycles quantum = 256;      ///< Phased quantum (threads >= 1 only).
-    bool decodeCache = true;
-    bool dataFastPath = true; ///< L1D hit fast path (core.dataFastPath).
-    bool idleSkip = true;     ///< Uncore idle skip (uncore.idleSkip).
     riscv::CoreTestMutation defect = riscv::CoreTestMutation::kNone;
 };
 
@@ -75,26 +79,11 @@ struct FuzzResult
     std::vector<Divergence> divergences;
 };
 
-/** Outcome of runFuzzAndMinimize. */
-struct MinimizeResult
-{
-    FuzzResult result;     ///< Final run of the minimized config.
-    FuzzConfig minimized;  ///< Smallest config still diverging.
-    std::uint32_t shrinkSteps = 0;
-    std::string repro;     ///< "repro: diff_run ..." (empty if clean).
-};
-
-/** Renders the diff_run command line reproducing @p cfg. */
-std::string reproCommand(const FuzzConfig &cfg);
-
 /** Deterministic program text for @p cfg on @p harts harts. */
 std::string generateFuzzProgram(const FuzzConfig &cfg,
                                 std::uint32_t harts);
 
 /** Builds the platform, runs the program, returns the evidence. */
 FuzzResult runFuzz(const FuzzConfig &cfg);
-
-/** runFuzz + halving-count shrink while the divergence reproduces. */
-MinimizeResult runFuzzAndMinimize(const FuzzConfig &cfg);
 
 } // namespace smappic::check

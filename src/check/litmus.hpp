@@ -25,9 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "check/coherence_checker.hpp"
 #include "platform/prototype.hpp"
-#include "sim/parallel.hpp"
 
 namespace smappic::check
 {
@@ -64,10 +62,12 @@ struct LitmusTest
 /** How to run a litmus test. */
 struct LitmusConfig
 {
-    /** Prototype geometry; needs >= threads harts. */
-    std::string spec = "2x1x2";
-    /** Engine selection (default: sequential interleaved). */
-    sim::ParallelConfig parallel;
+    LitmusConfig();
+
+    /** Run knobs; needs >= threads harts. Default: 2x1x2, sequential
+     *  engine, checker attached. An attached checker makes the L1D fast
+     *  path bail, so disable `platform.check` to genuinely exercise it. */
+    platform::PrototypeConfig platform;
     /** Runs per test; each gets fresh caches and new start skews. */
     std::uint32_t iterations = 8;
     /** Seed for the per-iteration skew draw. */
@@ -76,14 +76,6 @@ struct LitmusConfig
      *  iteration instead of the seeded draw — e.g. to pin the writer
      *  after the reader's preload in the mutation-catch test. */
     std::vector<std::uint32_t> fixedSkews;
-    /** Checker attachment for every iteration's prototype. */
-    CheckConfig check{true, false, 64};
-    /** L1D hit fast path (core.dataFastPath). Note an attached checker
-     *  makes the fast path bail anyway; disable `check` to genuinely
-     *  exercise it. */
-    bool dataFastPath = true;
-    /** Uncore event-horizon idle skip (uncore.idleSkip). */
-    bool idleSkip = true;
     std::uint64_t maxInstructions = 200'000;
     /** Runs after program load, before the cores start (arm mutations,
      *  warm caches, ...). */

@@ -13,13 +13,12 @@
  * deterministic functions of the seed alone — a flat golden replay
  * predicts both exactly, for any engine, thread count or interleaving.
  *
- * A run executes the program on a real prototype (sequential or phased
- * engine, optionally under a FaultPlan and the reliable bridge) with the
- * online coherence checker attached, then cross-checks the image, the
- * checksums, the exit codes and the checker verdict. On failure,
- * runAndMinimize() shrinks the program (ops first, then address set)
- * while the failure reproduces, and reports the minimal seed/size combo
- * plus a copy-pasteable repro command.
+ * A run executes the program on a real prototype built from the config's
+ * run knobs (sequential or phased engine, optionally under a FaultPlan
+ * and the reliable bridge) with the online coherence checker attached,
+ * then cross-checks the image, the checksums, the exit codes and the
+ * checker verdict. Shrinking a failure and rendering its repro line are
+ * shared with the other seeded harnesses (check/campaign.hpp).
  */
 
 #pragma once
@@ -29,11 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "bridge/inter_node_bridge.hpp"
-#include "check/coherence_checker.hpp"
 #include "platform/prototype.hpp"
-#include "sim/fault.hpp"
-#include "sim/parallel.hpp"
 
 namespace smappic::check
 {
@@ -41,35 +36,27 @@ namespace smappic::check
 /** One torture run's shape. Everything observable derives from these. */
 struct TortureConfig
 {
-    std::string spec = "2x1x2"; ///< Prototype geometry (all harts run).
+    TortureConfig();
+
+    /** Run knobs; all harts run. Default: 2x1x2, checker attached. */
+    platform::PrototypeConfig platform;
     std::uint64_t seed = 1;
     std::uint32_t opsPerCore = 64;
     /** Shared cache lines (8 slots each). Max 32 (imm12 addressing). */
     std::uint32_t sharedLines = 4;
-    sim::ParallelConfig parallel;
-    sim::FaultPlan faultPlan;
-    bridge::ReliabilityConfig reliability;
-    CheckConfig check{true, false, 64};
     std::uint64_t maxInstructions = 2'000'000;
     /** Runs after program load, before the cores start (arm mutations). */
     std::function<void(platform::Prototype &, const riscv::Program &)>
         preRun;
 };
 
-/** Verdict + replay recipe for one torture run. */
+/** Verdict of one torture run. */
 struct TortureReport
 {
     bool passed = false;
-    std::uint64_t seed = 0;
-    std::uint32_t opsPerCore = 0;
-    std::uint32_t sharedLines = 0;
     std::uint64_t checkerViolations = 0;
     /** Human-readable golden-model mismatches (bounded). */
     std::vector<std::string> mismatches;
-    /** Minimization rounds that led to this report (0 = first run). */
-    std::uint32_t shrinkSteps = 0;
-    /** Copy-pasteable `litmus_run` command reproducing this run. */
-    std::string repro;
 };
 
 /** Deterministic program + golden expectation for one config. */
@@ -81,17 +68,10 @@ struct TortureProgram
 };
 
 /** Generates the program and its golden expectation (pure function of
- *  seed, opsPerCore, sharedLines and the spec's hart count). */
+ *  seed, opsPerCore, sharedLines and the platform's hart count). */
 TortureProgram generateTorture(const TortureConfig &cfg);
 
 /** Runs one torture config to a verdict. */
 TortureReport runTorture(const TortureConfig &cfg);
-
-/**
- * Runs @p cfg; on failure, greedily halves opsPerCore then sharedLines
- * while the failure still reproduces, and returns the minimized failing
- * report. On success returns the passing report unchanged.
- */
-TortureReport runAndMinimize(TortureConfig cfg);
 
 } // namespace smappic::check

@@ -8,7 +8,7 @@
  * declaratively — per injection *site*, a seeded probability and an
  * optional event-count window for each fault kind — and a FaultInjector
  * evaluates the plan at hooks wired through the PCIe fabric, the
- * inter-node bridge, the AXI crossbars and the DRAM path.
+ * inter-node bridge and the DRAM path.
  *
  * Determinism: every site draws from its own xoroshiro stream seeded from
  * (plan seed, site name), so decisions at one site are independent of how

@@ -51,13 +51,12 @@ class LitmusEngines : public ::testing::TestWithParam<int>
     config() const
     {
         LitmusConfig cfg;
-        cfg.spec = "2x1x2";
         cfg.seed = 7 + static_cast<std::uint64_t>(GetParam());
         cfg.iterations = 4;
         if (GetParam() > 0) {
-            cfg.parallel.threads =
+            cfg.platform.parallel.threads =
                 static_cast<std::uint32_t>(GetParam());
-            cfg.parallel.quantum = 63;
+            cfg.platform.parallel.quantum = 63;
         }
         return cfg;
     }
@@ -98,18 +97,19 @@ TEST(Litmus, DataFastPathOnAndOffObserveIdenticalOutcomes)
             if (threads > 0 && t.threads.size() > 4)
                 continue;
             LitmusConfig cfg;
-            cfg.spec = threads == 0 ? "2x1x2" : "1x1x4";
+            // A bare parsed platform has no checker attached.
+            cfg.platform = platform::PrototypeConfig::parse(
+                threads == 0 ? "2x1x2" : "1x1x4");
             cfg.seed = 31 + threads;
             cfg.iterations = 4;
-            cfg.check.enabled = false;
             if (threads > 0) {
-                cfg.parallel.threads = threads;
-                cfg.parallel.quantum = 63;
+                cfg.platform.parallel.threads = threads;
+                cfg.platform.parallel.quantum = 63;
             }
 
-            cfg.dataFastPath = true;
+            cfg.platform.core.dataFastPath = true;
             LitmusResult on = runLitmus(t, cfg);
-            cfg.dataFastPath = false;
+            cfg.platform.core.dataFastPath = false;
             LitmusResult off = runLitmus(t, cfg);
 
             EXPECT_TRUE(on.passed) << t.name << " fastpath on, "
@@ -133,7 +133,6 @@ LitmusConfig
 mutationConfig()
 {
     LitmusConfig cfg;
-    cfg.spec = "2x1x2";
     cfg.iterations = 2;
     cfg.fixedSkews = {40, 0}; // thread 0 = writer (late), 1 = reader
     return cfg;

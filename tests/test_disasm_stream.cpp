@@ -1,14 +1,12 @@
 /**
  * @file
- * Tests for the disassembler + core trace hook, the STREAM workload, and
- * the AXI-Lite crossbar.
+ * Tests for the disassembler + core trace hook and the STREAM workload.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "axi/crossbar.hpp"
 #include "platform/prototype.hpp"
 #include "riscv/disasm.hpp"
 #include "workload/stream.hpp"
@@ -152,50 +150,6 @@ TEST(Stream, MoreThreadsMoreAggregateBandwidth)
     auto eight = workload::runStream(*g8, tiles,
                                      workload::StreamKernel::kCopy, cfg);
     EXPECT_GT(eight.bytesPerCycle, one.bytesPerCycle * 3);
-}
-
-// ---------------- AXI-Lite crossbar ----------------
-
-TEST(LiteCrossbar, RoutesWindowRelative)
-{
-    class Reg : public axi::LiteTarget
-    {
-      public:
-        axi::Resp
-        writeReg(const axi::LiteWrite &w) override
-        {
-            last = w.addr;
-            value = w.data;
-            return axi::Resp::kOkay;
-        }
-        axi::Resp
-        readReg(Addr addr, std::uint32_t &data) override
-        {
-            last = addr;
-            data = value;
-            return axi::Resp::kOkay;
-        }
-        Addr last = 0;
-        std::uint32_t value = 0;
-    };
-
-    Reg a;
-    Reg b;
-    axi::LiteCrossbar xbar;
-    xbar.addWindow(0x1000, 0x100, &a, "a");
-    xbar.addWindow(0x2000, 0x100, &b, "b");
-
-    EXPECT_EQ(xbar.writeReg({0x1010, 42, 0xf}), axi::Resp::kOkay);
-    EXPECT_EQ(a.last, 0x10u); // Window-relative address.
-    EXPECT_EQ(a.value, 42u);
-
-    std::uint32_t data = 0;
-    EXPECT_EQ(xbar.readReg(0x2004, data), axi::Resp::kOkay);
-    EXPECT_EQ(b.last, 0x4u);
-
-    EXPECT_EQ(xbar.writeReg({0x3000, 1, 0xf}), axi::Resp::kDecErr);
-    EXPECT_THROW(xbar.addWindow(0x1080, 0x100, &b, "overlap"),
-                 FatalError);
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "axi/crossbar.hpp"
 #include "bridge/inter_node_bridge.hpp"
 #include "mem/noc_axi_memctrl.hpp"
 #include "pcie/pcie_fabric.hpp"
@@ -155,105 +154,6 @@ TEST(FailureInjection, BridgeReceiveOverflowPanics)
     rx.write(req);
     rx.write(req);
     EXPECT_THROW(rx.write(req), PanicError);
-}
-
-TEST(FailureInjection, CrossbarDecodeErrors)
-{
-    axi::Crossbar xbar;
-    auto w = xbar.write(axi::WriteReq{0x1234, {1}, 0});
-    EXPECT_EQ(w.resp, axi::Resp::kDecErr);
-    auto r = xbar.read(axi::ReadReq{0x1234, 8, 0});
-    EXPECT_EQ(r.resp, axi::Resp::kDecErr);
-    EXPECT_EQ(xbar.decodeErrors(), 2u);
-}
-
-TEST(FailureInjection, OverlappingWindowsRejected)
-{
-    axi::Crossbar xbar;
-    class Null : public axi::Target
-    {
-        axi::WriteResp
-        write(const axi::WriteReq &r) override
-        {
-            return {axi::Resp::kOkay, r.id};
-        }
-        axi::ReadResp
-        read(const axi::ReadReq &r) override
-        {
-            return {axi::Resp::kOkay, {}, r.id};
-        }
-    } null_target;
-    xbar.addWindow(0x1000, 0x1000, &null_target, "a");
-    EXPECT_THROW(xbar.addWindow(0x1800, 0x1000, &null_target, "b"),
-                 FatalError);
-    EXPECT_NO_THROW(xbar.addWindow(0x2000, 0x1000, &null_target, "c"));
-}
-
-/** Echo target that records writes and reads back constant data. */
-class EchoTarget : public axi::Target
-{
-  public:
-    axi::WriteResp
-    write(const axi::WriteReq &req) override
-    {
-        lastWrite = req;
-        ++writes;
-        return {axi::Resp::kOkay, req.id};
-    }
-    axi::ReadResp
-    read(const axi::ReadReq &req) override
-    {
-        axi::ReadResp r;
-        r.id = req.id;
-        r.data.assign(req.bytes, 0x55);
-        return r;
-    }
-    axi::WriteReq lastWrite;
-    int writes = 0;
-};
-
-TEST(FailureInjection, CrossbarStuckSlvErrWindow)
-{
-    // A stuck-SLVERR fault (probability 1 inside an event window) makes
-    // the crossbar answer SLVERR without routing, then heals.
-    sim::FaultPlan plan;
-    plan.slvErr("xbar.write", 1.0, 0, 2);
-    sim::FaultInjector fi(plan);
-
-    axi::Crossbar xbar;
-    EchoTarget target;
-    xbar.addWindow(0x0, 0x1000, &target, "mem");
-    xbar.setFaultInjector(&fi);
-
-    for (int i = 0; i < 3; ++i) {
-        auto w = xbar.write(axi::WriteReq{0x100, {1, 2}, 0});
-        EXPECT_EQ(w.resp, axi::Resp::kSlvErr) << "event " << i;
-    }
-    EXPECT_EQ(target.writes, 0); // Never routed while stuck.
-    auto w = xbar.write(axi::WriteReq{0x100, {1, 2}, 0});
-    EXPECT_EQ(w.resp, axi::Resp::kOkay);
-    EXPECT_EQ(target.writes, 1);
-    EXPECT_EQ(xbar.faultedAccesses(), 3u);
-}
-
-TEST(FailureInjection, CrossbarCorruptionRoutesFlippedPayload)
-{
-    sim::FaultPlan plan;
-    plan.corrupt("xbar.write", 1.0);
-    sim::FaultInjector fi(plan);
-
-    axi::Crossbar xbar;
-    EchoTarget target;
-    xbar.addWindow(0x0, 0x1000, &target, "mem");
-    xbar.setFaultInjector(&fi);
-
-    std::vector<std::uint8_t> clean(8, 0);
-    auto w = xbar.write(axi::WriteReq{0x0, clean, 0});
-    EXPECT_EQ(w.resp, axi::Resp::kOkay);
-    int flipped = 0;
-    for (std::uint8_t b : target.lastWrite.data)
-        flipped += __builtin_popcount(b);
-    EXPECT_EQ(flipped, 1); // Exactly one bit differs from the original.
 }
 
 TEST(FailureInjection, DramSlvErrFaultPanicsThroughMemController)

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/campaign.hpp"
 #include "check/isa_fuzz.hpp"
 #include "check/lockstep.hpp"
 #include "platform/prototype.hpp"
@@ -261,7 +262,7 @@ TEST(LockstepAmoRegression, WordAmoIgnoresUpperSourceBits)
 
 // ---------------------------------------------------------------------
 // Seeded fuzzer, fixed-seed matrix (the CI job runs the same shapes
-// through the diff_run CLI).
+// through `check_run fuzz`).
 
 TEST(LockstepFuzz, FixedSeedSequentialIsClean)
 {
@@ -278,10 +279,10 @@ TEST(LockstepFuzz, FixedSeedPhasedWorkersAreClean)
 {
     for (std::uint32_t workers : {1u, 2u, 4u}) {
         FuzzConfig cfg;
-        cfg.spec = "1x2x1";
+        cfg.platform = platform::PrototypeConfig::parse("1x2x1");
+        cfg.platform.parallel = {workers, 256};
         cfg.seed = 11;
         cfg.count = 96;
-        cfg.threads = workers;
         FuzzResult r = runFuzz(cfg);
         EXPECT_FALSE(r.diverged) << "workers " << workers;
         EXPECT_TRUE(r.exitedCleanly) << "workers " << workers;
@@ -304,7 +305,7 @@ TEST(LockstepFuzz, DecodeCacheOffIsClean)
     FuzzConfig cfg;
     cfg.seed = 17;
     cfg.count = 128;
-    cfg.decodeCache = false;
+    cfg.platform.core.decodeCache.enabled = false;
     FuzzResult r = runFuzz(cfg);
     EXPECT_FALSE(r.diverged);
     EXPECT_TRUE(r.exitedCleanly);
@@ -322,16 +323,16 @@ TEST(LockstepFuzz, DataFastPathOnAndOffReachIdenticalFinalState)
     // cross-node miss races resolve in worker-interleaving order.
     for (std::uint32_t workers : {0u, 2u, 4u}) {
         FuzzConfig cfg;
-        cfg.spec = "1x1x2";
+        if (workers > 0)
+            cfg.platform.parallel = {workers, 256};
         cfg.seed = 23;
         cfg.count = 128;
         cfg.mix = FuzzMix::kMem;
         cfg.shared = true;
-        cfg.threads = workers;
 
-        cfg.dataFastPath = true;
+        cfg.platform.core.dataFastPath = true;
         FuzzResult on = runFuzz(cfg);
-        cfg.dataFastPath = false;
+        cfg.platform.core.dataFastPath = false;
         FuzzResult off = runFuzz(cfg);
 
         EXPECT_FALSE(on.diverged) << "fastpath on, workers " << workers;
@@ -361,11 +362,15 @@ TEST(LockstepFuzz, MulhDefectMinimizesToRepro)
     cfg.count = 256;
     cfg.mix = FuzzMix::kMul;
     cfg.defect = CoreTestMutation::kMulhCorrupt;
-    MinimizeResult m = runFuzzAndMinimize(cfg);
-    ASSERT_TRUE(m.result.diverged);
-    EXPECT_LE(m.minimized.count, cfg.count / 2); // It actually shrank.
-    EXPECT_EQ(m.repro.rfind("repro: diff_run", 0), 0u) << m.repro;
-    EXPECT_NE(m.repro.find("--defect mulh"), std::string::npos);
+    auto m = minimize(cfg);
+    ASSERT_TRUE(m.verdict.diverged);
+    EXPECT_LE(m.config.count, cfg.count / 2); // It actually shrank.
+    std::string repro = reproCommand(m.config);
+    EXPECT_EQ(repro.rfind("check_run fuzz ", 0), 0u) << repro;
+    EXPECT_NE(repro.find("--count " + std::to_string(m.config.count)),
+              std::string::npos)
+        << repro;
+    EXPECT_NE(repro.find("--defect mulh"), std::string::npos) << repro;
 }
 
 TEST(LockstepFuzz, StaleDecodeDefectIsDetected)
@@ -375,28 +380,14 @@ TEST(LockstepFuzz, StaleDecodeDefectIsDetected)
     cfg.count = 128;
     cfg.mix = FuzzMix::kSmc;
     cfg.defect = CoreTestMutation::kStaleDecode;
-    MinimizeResult m = runFuzzAndMinimize(cfg);
-    ASSERT_TRUE(m.result.diverged);
-    EXPECT_NE(m.repro.find("--mix smc"), std::string::npos) << m.repro;
+    auto m = minimize(cfg);
+    ASSERT_TRUE(m.verdict.diverged);
+    EXPECT_NE(reproCommand(m.config).find("--mix smc"), std::string::npos)
+        << reproCommand(m.config);
 
     // Control: the same config without the defeat switch is clean.
     cfg.defect = CoreTestMutation::kNone;
     EXPECT_FALSE(runFuzz(cfg).diverged);
-}
-
-TEST(LockstepFuzz, ReproCommandRoundTrips)
-{
-    FuzzConfig cfg;
-    cfg.spec = "1x2x1";
-    cfg.seed = 99;
-    cfg.count = 64;
-    cfg.mix = FuzzMix::kAmo;
-    cfg.shared = true;
-    cfg.threads = 2;
-    cfg.decodeCache = false;
-    EXPECT_EQ(reproCommand(cfg),
-              "diff_run --spec 1x2x1 --seed 99 --count 64 --mix amo "
-              "--shared --threads 2 --quantum 256 --no-decode-cache");
 }
 
 // ---------------------------------------------------------------------

@@ -84,6 +84,21 @@ TEST(PcieFabric, UnmappedAddressDecErr)
     EXPECT_EQ(fabric.decodeErrors(), 1u);
 }
 
+TEST(PcieFabric, OverlappingWindowsRejected)
+{
+    sim::EventQueue eq;
+    pcie::PcieFabric fabric(eq, 10, 0.0, nullptr);
+    Recorder target;
+    fabric.addWindow(0x1000, 0x1000, &target, 1, "a");
+    EXPECT_THROW(fabric.addWindow(0x1800, 0x1000, &target, 1, "b"),
+                 FatalError);
+    EXPECT_THROW(fabric.addWindow(0x0, 0x1001, &target, 1, "c"),
+                 FatalError);
+    // Adjacent windows touch but do not overlap.
+    EXPECT_NO_THROW(fabric.addWindow(0x2000, 0x1000, &target, 1, "d"));
+    EXPECT_NO_THROW(fabric.addWindow(0x0, 0x1000, &target, 1, "e"));
+}
+
 TEST(PcieFabric, ReadReturnsData)
 {
     sim::EventQueue eq;

@@ -236,7 +236,7 @@ check::TortureProgram
 tortureWorkload()
 {
     check::TortureConfig tcfg;
-    tcfg.spec = "2x1x2";
+    tcfg.platform = platform::PrototypeConfig::parse("2x1x2");
     tcfg.seed = 11;
     tcfg.opsPerCore = 48;
     tcfg.sharedLines = 4;

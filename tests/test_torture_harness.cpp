@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/campaign.hpp"
 #include "check/torture.hpp"
 #include "sim/types.hpp"
 
@@ -53,7 +54,7 @@ TEST(TortureHarness, SequentialRunMatchesGoldenModel)
     EXPECT_TRUE(rep.passed)
         << (rep.mismatches.empty() ? "checker" : rep.mismatches[0]);
     EXPECT_EQ(rep.checkerViolations, 0u);
-    EXPECT_NE(rep.repro.find("--seed 5"), std::string::npos);
+    EXPECT_NE(reproCommand(cfg).find("--seed 5"), std::string::npos);
 }
 
 TEST(TortureHarness, SeedSweepPassesSequentially)
@@ -75,14 +76,14 @@ TEST(TortureHarness, ParallelEngineMatchesGoldenModel)
     for (std::uint32_t threads : {1u, 2u, 4u}) {
         TortureConfig cfg;
         cfg.seed = 11;
-        cfg.parallel.threads = threads;
-        cfg.parallel.quantum = 63;
+        cfg.platform.parallel.threads = threads;
+        cfg.platform.parallel.quantum = 63;
         TortureReport rep = runTorture(cfg);
         EXPECT_TRUE(rep.passed)
             << threads << " workers: "
             << (rep.mismatches.empty() ? "checker violations"
                                        : rep.mismatches[0]);
-        EXPECT_NE(rep.repro.find("--threads"), std::string::npos);
+        EXPECT_NE(reproCommand(cfg).find("--threads"), std::string::npos);
     }
 }
 
@@ -90,10 +91,10 @@ TEST(TortureHarness, SurvivesFaultySubstrateWithReliableBridge)
 {
     TortureConfig cfg;
     cfg.seed = 21;
-    cfg.faultPlan.seed = 77;
-    cfg.faultPlan.drop("bridge.tx", 0.02);
-    cfg.faultPlan.corrupt("bridge.tx", 0.02);
-    cfg.reliability.enabled = true;
+    cfg.platform.faultPlan.seed = 77;
+    cfg.platform.faultPlan.drop("bridge.tx", 0.02);
+    cfg.platform.faultPlan.corrupt("bridge.tx", 0.02);
+    cfg.platform.reliability.enabled = true;
     TortureReport rep = runTorture(cfg);
     EXPECT_TRUE(rep.passed)
         << (rep.mismatches.empty() ? "checker violations"
@@ -116,23 +117,24 @@ TEST(TortureHarness, MutationFailsMinimizesAndReproduces)
             lineAlign(prog.symbol("shared")));
     };
 
-    TortureReport rep = runAndMinimize(cfg);
-    EXPECT_FALSE(rep.passed);
-    EXPECT_GT(rep.shrinkSteps, 0u);
-    EXPECT_LE(rep.opsPerCore, cfg.opsPerCore);
-    EXPECT_LE(rep.sharedLines, cfg.sharedLines);
-    EXPECT_EQ(rep.seed, cfg.seed);
-    EXPECT_NE(rep.repro.find("--seed 31"), std::string::npos);
+    auto m = minimize(cfg);
+    EXPECT_FALSE(m.verdict.passed);
+    EXPECT_GT(m.steps, 0u);
+    EXPECT_LE(m.config.opsPerCore, cfg.opsPerCore);
+    EXPECT_LE(m.config.sharedLines, cfg.sharedLines);
+    EXPECT_EQ(m.config.seed, cfg.seed);
+    EXPECT_NE(reproCommand(m.config).find("--seed 31"), std::string::npos);
 
     // Deterministic replay: rebuild the minimized config from the
-    // report and re-run — the failure must reproduce identically.
+    // sizes the repro names and re-run — the failure must reproduce
+    // identically.
     TortureConfig replay = cfg;
-    replay.opsPerCore = rep.opsPerCore;
-    replay.sharedLines = rep.sharedLines;
+    replay.opsPerCore = m.config.opsPerCore;
+    replay.sharedLines = m.config.sharedLines;
     TortureReport again = runTorture(replay);
     EXPECT_FALSE(again.passed);
-    EXPECT_EQ(again.checkerViolations, rep.checkerViolations);
-    EXPECT_EQ(again.mismatches, rep.mismatches);
+    EXPECT_EQ(again.checkerViolations, m.verdict.checkerViolations);
+    EXPECT_EQ(again.mismatches, m.verdict.mismatches);
 }
 
 } // namespace

@@ -18,16 +18,19 @@
  * With --trace, the run also records a full platform trace and writes it
  * to <path> in the binary format; the trace CI job diffs these files
  * across worker counts the same way (they are bit-identical by design).
+ *
+ * A malformed number, an unknown argument or a flag missing its value
+ * is a usage error (exit 2).
  */
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "platform/prototype.hpp"
 
 using namespace smappic;
@@ -119,33 +122,34 @@ fnv1a(std::uint64_t h, std::uint64_t v)
 int
 main(int argc, char **argv)
 {
-    if (argc < 4) {
-        std::fprintf(stderr,
-                     "usage: %s <AxBxC> <threads> <quantum> [budget] "
-                     "[--trace <path>]\n",
-                     argv[0]);
-        return 2;
-    }
-    const std::string spec = argv[1];
-    const std::uint32_t threads =
-        static_cast<std::uint32_t>(std::strtoul(argv[2], nullptr, 10));
-    const Cycles quantum = std::strtoull(argv[3], nullptr, 10);
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    PrototypeConfig cfg;
     std::uint64_t budget = 500'000;
-    std::string trace_path;
-    for (int i = 4; i < argc; ++i) {
-        if (std::string(argv[i]) == "--trace" && i + 1 < argc) {
-            trace_path = argv[++i];
-        } else {
-            budget = std::strtoull(argv[i], nullptr, 10);
+    try {
+        if (args.size() < 3)
+            throw cli::UsageError("needs <AxBxC> <threads> <quantum>");
+        cfg = PrototypeConfig::parse(args[0]);
+        cfg.parallel.threads = static_cast<std::uint32_t>(
+            cli::parseU64("threads", args[1], 1, 64));
+        cfg.parallel.quantum = cli::parseU64("quantum", args[2]);
+        bool have_budget = false;
+        for (std::size_t i = 3; i < args.size(); ++i) {
+            if (args[i] == "--trace") {
+                cfg.trace.enabled = true;
+                cfg.trace.path = cli::flagValue(args, i);
+            } else if (!have_budget) {
+                budget = cli::parseU64("budget", args[i]);
+                have_budget = true;
+            } else {
+                throw cli::UsageError("unexpected argument " + args[i]);
+            }
         }
-    }
-
-    PrototypeConfig cfg = PrototypeConfig::parse(spec);
-    cfg.parallel.threads = threads;
-    cfg.parallel.quantum = quantum;
-    if (!trace_path.empty()) {
-        cfg.trace.enabled = true;
-        cfg.trace.path = trace_path;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr,
+                     "%s: %s\nusage: %s <AxBxC> <threads> <quantum> "
+                     "[budget] [--trace <path>]\n",
+                     argv[0], e.what(), argv[0]);
+        return 2;
     }
     Prototype proto(cfg);
 
@@ -161,12 +165,13 @@ main(int argc, char **argv)
     for (GlobalTileId g = 0; g < cfg.totalTiles(); ++g)
         gids.push_back(g);
     proto.runCores(gids, budget);
-    if (!trace_path.empty())
+    if (cfg.trace.enabled)
         proto.writeTrace();
 
     // The report deliberately omits the threads/quantum arguments so that
     // outputs from different worker counts diff clean.
-    std::printf("config: %s harts: %u\n", spec.c_str(), cfg.totalTiles());
+    std::printf("config: %s harts: %u\n", args[0].c_str(),
+                cfg.totalTiles());
     for (GlobalTileId g = 0; g < cfg.totalTiles(); ++g) {
         std::printf("hart %u: exited=%d code=%" PRId64 "\n", g,
                     proto.core(g).exited() ? 1 : 0,

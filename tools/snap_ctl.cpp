@@ -31,17 +31,15 @@
  *                                     checkpoint in --dir)
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "check/torture.hpp"
+#include "cli.hpp"
 #include "platform/prototype.hpp"
 #include "sim/log.hpp"
 #include "snap/snapshot.hpp"
@@ -95,54 +93,36 @@ usage()
     return 2;
 }
 
-std::uint64_t
-parseU64(const char *s)
-{
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(s, &end, 0);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        std::exit(usage());
-    }
-    return v;
-}
-
 bool
-parseOptions(int argc, char **argv, Options &opt)
+parseOptions(const std::vector<std::string> &args, Options &opt)
 {
-    if (argc < 2)
+    if (args.empty())
         return false;
-    opt.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", a.c_str());
-                std::exit(usage());
-            }
-            return argv[++i];
+    opt.command = args[0];
+    for (std::size_t i = 1; i < args.size(); ++i) {
+        const std::string &a = args[i];
+        auto next = [&]() -> const std::string & {
+            return cli::flagValue(args, i);
+        };
+        auto num = [&]() { return cli::parseU64(a, next()); };
+        auto num32 = [&]() {
+            return static_cast<std::uint32_t>(
+                cli::parseU64(a, next(), 0, UINT32_MAX));
         };
         if (a == "--spec") opt.spec = next();
-        else if (a == "--seed") opt.seed = parseU64(next());
-        else if (a == "--ops")
-            opt.ops = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--lines")
-            opt.lines = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--max-instructions")
-            opt.maxInstructions = parseU64(next());
-        else if (a == "--threads")
-            opt.threads = static_cast<std::uint32_t>(parseU64(next()));
-        else if (a == "--quantum") opt.quantum = parseU64(next());
-        else if (a == "--interval") opt.interval = parseU64(next());
+        else if (a == "--seed") opt.seed = num();
+        else if (a == "--ops") opt.ops = num32();
+        else if (a == "--lines") opt.lines = num32();
+        else if (a == "--max-instructions") opt.maxInstructions = num();
+        else if (a == "--threads") opt.threads = num32();
+        else if (a == "--quantum") opt.quantum = num();
+        else if (a == "--interval") opt.interval = num();
         else if (a == "--dir") opt.dir = next();
-        else if (a == "--keep")
-            opt.keep = static_cast<std::uint32_t>(parseU64(next()));
+        else if (a == "--keep") opt.keep = num32();
         else if (a == "--stats-json") opt.statsJson = next();
         else if (a == "--trace") opt.tracePath = next();
-        else if (a == "--kill-at") opt.killAt = parseU64(next());
-        else if (a == "--watchdog-stall")
-            opt.watchdogStall = parseU64(next());
+        else if (a == "--kill-at") opt.killAt = num();
+        else if (a == "--watchdog-stall") opt.watchdogStall = num();
         else if (a == "--watchdog-action") {
             std::string v = next();
             if (v == "report")
@@ -151,23 +131,18 @@ parseOptions(int argc, char **argv, Options &opt)
                 opt.watchdogAction = sim::WatchdogAction::kPanic;
             else if (v == "recover")
                 opt.watchdogAction = sim::WatchdogAction::kRecover;
-            else {
-                std::fprintf(stderr, "unknown watchdog action '%s'\n",
-                             v.c_str());
-                return false;
-            }
+            else
+                throw cli::UsageError("unknown watchdog action " + v);
         } else if (a == "--wedge-node") {
             opt.wedge = true;
-            opt.wedgeNode = static_cast<std::uint32_t>(parseU64(next()));
+            opt.wedgeNode = num32();
         } else if (a == "--wedge-after")
-            opt.wedgeAfter = parseU64(next());
+            opt.wedgeAfter = num();
         else if (a == "--from") opt.from = next();
         else if (!a.empty() && a[0] != '-')
             opt.files.push_back(a);
-        else {
-            std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
-            return false;
-        }
+        else
+            throw cli::UsageError("unknown option " + a);
     }
     return true;
 }
@@ -287,7 +262,7 @@ cmdRun(const Options &opt, bool resume)
     // The workload is a pure function of (seed, ops, lines, harts):
     // run and resume regenerate the identical program.
     check::TortureConfig tcfg;
-    tcfg.spec = opt.spec;
+    tcfg.platform = cfg;
     tcfg.seed = opt.seed;
     tcfg.opsPerCore = opt.ops;
     tcfg.sharedLines = opt.lines;
@@ -346,8 +321,13 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseOptions(argc, argv, opt))
+    try {
+        if (!parseOptions({argv + 1, argv + argc}, opt))
+            return usage();
+    } catch (const cli::UsageError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return usage();
+    }
     try {
         if (opt.command == "inspect" && opt.files.size() == 1)
             return cmdInspect(opt.files[0]);

@@ -22,16 +22,14 @@
  * Usage: trace_dump <trace.bin> [options]
  */
 
-#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/trace_io.hpp"
 #include "sim/log.hpp"
 #include "sim/stats.hpp"
@@ -68,21 +66,6 @@ usage(const char *argv0)
     return 2;
 }
 
-/** Strict numeric parse: rejects empty, trailing garbage and overflow
- *  instead of silently reading them as 0. */
-bool
-parseU64Strict(const char *s, std::uint64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad numeric value '%s'\n", s);
-        return false;
-    }
-    return true;
-}
-
 bool
 parseComponentList(const std::string &list, std::uint32_t &mask)
 {
@@ -111,51 +94,35 @@ parseComponentList(const std::string &list, std::uint32_t &mask)
 }
 
 bool
-parseOptions(int argc, char **argv, Options &opt)
+parseOptions(const std::vector<std::string> &args, Options &opt)
 {
-    auto takesValue = [](const std::string &a) {
-        return a == "--json" || a == "--node" || a == "--component" ||
-               a == "--window";
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (takesValue(arg) && i + 1 >= argc) {
-            std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-            return false;
-        }
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
         if (arg == "--check") {
             opt.check = true;
         } else if (arg == "--json") {
-            opt.jsonOut = argv[++i];
+            opt.jsonOut = cli::flagValue(args, i);
         } else if (arg == "--node") {
-            std::uint64_t node = 0;
-            if (!parseU64Strict(argv[++i], node) || node > 0xffff) {
-                std::fprintf(stderr, "--node wants a node index\n");
-                return false;
-            }
             opt.filterNode = true;
-            opt.node = static_cast<std::uint16_t>(node);
+            opt.node = static_cast<std::uint16_t>(
+                cli::parseU64(arg, cli::flagValue(args, i), 0, 0xffff));
         } else if (arg == "--component") {
             opt.filterComponents = true;
-            if (!parseComponentList(argv[++i], opt.componentMask))
+            if (!parseComponentList(cli::flagValue(args, i),
+                                    opt.componentMask))
                 return false;
         } else if (arg == "--window") {
-            std::string w = argv[++i];
+            const std::string &w = cli::flagValue(args, i);
             std::size_t colon = w.find(':');
-            if (colon == std::string::npos ||
-                !parseU64Strict(w.substr(0, colon).c_str(),
-                                opt.windowFrom) ||
-                !parseU64Strict(w.c_str() + colon + 1, opt.windowTo)) {
-                std::fprintf(stderr, "--window wants <from>:<to> "
-                                     "(half-open: from <= cycle < to)\n");
-                return false;
-            }
+            if (colon == std::string::npos)
+                throw cli::UsageError("--window wants <from>:<to>");
+            opt.windowFrom = cli::parseU64(arg, w.substr(0, colon));
+            opt.windowTo = cli::parseU64(arg, w.substr(colon + 1));
             opt.filterWindow = true;
         } else if (!arg.empty() && arg[0] != '-' && opt.input.empty()) {
             opt.input = arg;
         } else {
-            std::fprintf(stderr, "bad argument '%s'\n", arg.c_str());
-            return false;
+            throw cli::UsageError("bad argument " + arg);
         }
     }
     if (opt.input.empty()) {
@@ -181,7 +148,7 @@ keep(const Options &opt, const obs::TraceEvent &ev)
 
 /** Structural validation behind --check. Returns the number of errors. */
 std::uint64_t
-check(const obs::TraceData &data)
+checkStructure(const obs::TraceData &data)
 {
     std::uint64_t errors = 0;
     std::uint64_t held = 0;
@@ -267,8 +234,13 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseOptions(argc, argv, opt))
+    try {
+        if (!parseOptions({argv + 1, argv + argc}, opt))
+            return usage(argv[0]);
+    } catch (const cli::UsageError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return usage(argv[0]);
+    }
 
     obs::TraceData data;
     try {
@@ -284,7 +256,7 @@ main(int argc, char **argv)
     }
 
     if (opt.check) {
-        std::uint64_t errors = check(data);
+        std::uint64_t errors = checkStructure(data);
         std::printf("check: %s: %zu events, %u nodes, %" PRIu64
                     " dropped, %" PRIu64 " errors\n",
                     opt.input.c_str(), data.events.size(), data.nodes,
