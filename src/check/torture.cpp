@@ -31,12 +31,17 @@ generateTorture(const TortureConfig &cfg)
     out.checksums.assign(ncores, 0);
 
     std::ostringstream os;
+    // mhartid dispatch: each conditional branch lands on a nearby `j`
+    // trampoline, because the core bodies can put core_N past the
+    // +-4 KiB B-type range (jal reaches +-1 MiB).
     os << "_start:\n    csrr a0, 0xf14\n";
     for (std::uint32_t c = 0; c < ncores; ++c) {
         os << "    li a1, " << c << "\n";
-        os << "    beq a0, a1, core_" << c << "\n";
+        os << "    beq a0, a1, tramp_" << c << "\n";
     }
     os << "    li a0, 0\n    li a7, 93\n    ecall\n";
+    for (std::uint32_t c = 0; c < ncores; ++c)
+        os << "tramp_" << c << ":\n    j core_" << c << "\n";
 
     for (std::uint32_t c = 0; c < ncores; ++c) {
         // Slot ownership: global slot G belongs to core G % ncores, so
