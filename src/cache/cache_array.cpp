@@ -126,6 +126,22 @@ CacheArray::insert(Addr addr, std::uint32_t state)
     return victim;
 }
 
+std::optional<Victim>
+CacheArray::victimFor(Addr addr) const
+{
+    Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
+    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
+    const Entry *lru = nullptr;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        const Entry &e = entries_[base + w];
+        if (!e.valid || e.line == line)
+            return std::nullopt;
+        if (!lru || e.lastUse < lru->lastUse)
+            lru = &e;
+    }
+    return Victim{lru->line, lru->state};
+}
+
 std::optional<std::uint32_t>
 CacheArray::invalidate(Addr addr)
 {

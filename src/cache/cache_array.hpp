@@ -73,6 +73,13 @@ class CacheArray
      */
     std::optional<Victim> insert(Addr addr, std::uint32_t state = 0);
 
+    /**
+     * The victim insert(@p addr) would evict right now, without
+     * changing anything; none when the line is resident or its set has
+     * a free way.
+     */
+    std::optional<Victim> victimFor(Addr addr) const;
+
     /** Removes a line if present; returns its state. */
     std::optional<std::uint32_t> invalidate(Addr addr);
 

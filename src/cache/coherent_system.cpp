@@ -5,6 +5,7 @@
 
 #include "obs/tracer.hpp"
 #include "sim/log.hpp"
+#include "sim/parallel.hpp"
 #include "snap/state_io.hpp"
 
 namespace smappic::cache
@@ -523,10 +524,13 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     TileId my_tile = tileOf(gid);
 
     // Device windows capture all access types (BYOC treats device space as
-    // non-cacheable).
+    // non-cacheable). Devices are shared platform state: a confined node
+    // phase never reaches one.
     for (const auto &w : devices_) {
-        if (addr >= w.base && addr - w.base < w.size)
+        if (addr >= w.base && addr - w.base < w.size) {
+            sim::yieldIfConfined();
             return deviceAccess(w, gid, addr, type, bytes, now);
+        }
     }
 
     // Coherence Domain Restriction: a requester outside the line's
@@ -536,6 +540,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         addrNode(addr) != my_node &&
         (type == AccessType::kLoad || type == AccessType::kStore ||
          type == AccessType::kFetch || type == AccessType::kAtomic)) {
+        sim::yieldIfConfined(); // Remote memory controller.
         stats_->counter(kCdrUncachedRemote).increment();
         type = (type == AccessType::kStore || type == AccessType::kAtomic)
                    ? AccessType::kNcStore
@@ -545,9 +550,11 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     // Explicit NC accesses to plain memory go straight to the owning
     // node's memory controller (used by the virtual SD card).
     if (type == AccessType::kNcLoad || type == AccessType::kNcStore) {
+        NodeId dn = addrNode(addr);
+        if (dn != my_node)
+            sim::yieldIfConfined();
         auto guard = parallelGuard();
         bool crossed = false;
-        NodeId dn = addrNode(addr);
         Cycles t = now + timing_.l1MissDetect;
         t = nocPath(my_node, my_tile, dn, noc::kOffChipTile,
                     kReqBytes + (type == AccessType::kNcStore ? bytes : 0),
@@ -616,6 +623,8 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     // servers, bridge shapers, peer private arrays on recalls), so it is
     // one critical section under the phased engine.
     auto guard = parallelGuard();
+    if (sim::confinedPhase() && !missStaysOnNode(gid, line, type))
+        throw sim::NodeYield{};
     stats_->counter(kBpcMisses).increment();
     auto [hn, ht] = homeOf(line);
     GlobalTileId home_gid = gidOf(hn, ht);
@@ -764,6 +773,64 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         notify(kind, line, gid, now);
     }
     return AccessResult{t - now, level, crossed};
+}
+
+bool
+CoherentSystem::missStaysOnNode(GlobalTileId gid, Addr line, AccessType type)
+{
+    // The checker and armed test mutations keep cross-line state.
+    if (observer_ || mutation_ != TestMutation::kNone)
+        return false;
+    NodeId node = nodeOf(gid);
+    auto [hn, ht] = homeOf(line);
+    if (hn != node)
+        return false;
+    std::uint64_t tiles = geo_.tilesPerNode >= 64
+                              ? ~0ULL
+                              : (1ULL << geo_.tilesPerNode) - 1;
+    std::uint64_t on_node = tiles << (node * geo_.tilesPerNode);
+    auto members_on_node = [&](const DirEntry &d) {
+        std::uint64_t members =
+            d.sharers | (d.owner >= 0 ? 1ULL << d.owner : 0);
+        return (members & ~on_node) == 0;
+    };
+
+    // Recalls and owner forwards reach exactly the line's members.
+    bool is_load = type == AccessType::kLoad || type == AccessType::kFetch;
+    bool in_llc = false;
+    bool owner_forward = false;
+    auto it = directory_.find(line);
+    if (it != directory_.end()) {
+        if (!members_on_node(it->second))
+            return false;
+        in_llc = it->second.inLlc;
+        owner_forward = is_load && it->second.owner >= 0;
+    }
+
+    // An LLC fill reads the line's DRAM and may evict a victim, whose
+    // members are recalled and whose dirty data is written back.
+    if (!in_llc && !owner_forward) {
+        if (addrNode(line) != node)
+            return false;
+        if (auto v = llc_[gidOf(hn, ht)].victimFor(line)) {
+            if (addrNode(v->line) != node)
+                return false;
+            auto vit = directory_.find(v->line);
+            if (vit != directory_.end() && !members_on_node(vit->second))
+                return false;
+        }
+    }
+
+    // A private fill may evict a victim, which notifies its home.
+    bool private_fill =
+        is_load || (type == AccessType::kStore && !bpc_[gid].probe(line));
+    if (private_fill) {
+        if (auto v = bpc_[gid].victimFor(line)) {
+            if (homeOf(v->line).first != node)
+                return false;
+        }
+    }
+    return true;
 }
 
 Cycles

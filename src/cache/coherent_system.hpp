@@ -566,6 +566,14 @@ class CoherentSystem
     void privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
                      bool fill_l1i, Cycles t);
 
+    /**
+     * True when @p gid's miss on @p line touches only its own node's
+     * state: the home slice, the DRAM behind it, every private copy it
+     * recalls and every victim it evicts. A confined node phase takes
+     * only such misses; the rest yield (see sim::ConfinedScope).
+     */
+    bool missStaysOnNode(GlobalTileId gid, Addr line, AccessType type);
+
     AccessResult deviceAccess(const DeviceWindow &w, GlobalTileId gid,
                               Addr addr, AccessType type, std::uint32_t bytes,
                               Cycles now);

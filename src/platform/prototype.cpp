@@ -16,6 +16,7 @@ namespace
 {
 
 const sim::StatId kPlatformIrqDeferred("platform.irqDeferred");
+const sim::StatId kPlatformPhaseYields("platform.phaseYields");
 const sim::StatId kPlatformBridgePacketsIn("platform.bridgePacketsIn");
 const sim::StatId kPlatformMemctrlResponses("platform.memctrlResponses");
 const sim::StatId kPlatformIrqPackets("platform.irqPackets");
@@ -229,7 +230,17 @@ class Prototype::CorePort : public riscv::MemPort
           Cycles &lat) override
     {
         // Data goes into the functional store first so device windows
-        // (whose handlers read it) observe the new value.
+        // (whose handlers read it) observe the new value. A confined
+        // node phase never reaches a device, but its access() may
+        // yield, and a yielded store must leave memory untouched.
+        if (sim::confinedPhase()) {
+            auto r = proto_.cs_->access(gid_, addr,
+                                        cache::AccessType::kStore, bytes,
+                                        now);
+            proto_.cs_->memory().store(addr, std::min(bytes, 8u), value);
+            lat = r.latency;
+            return;
+        }
         proto_.cs_->memory().store(addr, std::min(bytes, 8u), value);
         auto r = proto_.cs_->access(gid_, addr, cache::AccessType::kStore,
                                     bytes, now);
@@ -501,6 +512,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
             if (num == 64) { // write(fd, buf, len)
                 // Console UART + PLIC are shared devices; under the
                 // phased engine this joins the device critical section.
+                sim::yieldIfConfined();
                 auto guard = cs_->parallelGuard();
                 NodeId n = g / cfg_.tilesPerNode;
                 Addr buf = c.reg(11);
@@ -515,6 +527,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
                 return true;
             }
             if (num == 63) { // read(fd, buf, len) from the console UART
+                sim::yieldIfConfined();
                 auto guard = cs_->parallelGuard();
                 NodeId n = g / cfg_.tilesPerNode;
                 Addr buf = c.reg(11);
@@ -865,6 +878,9 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
         /** Written by the owning worker, read at the barrier (the epoch
          *  barrier orders the accesses). */
         bool progressed = false;
+        /** The confined phase stopped at a cross-node step; the barrier
+         *  finishes the node's epoch. Same ordering as progressed. */
+        bool yielded = false;
     };
 
     std::uint32_t nodes = cfg_.totalNodes();
@@ -1017,7 +1033,17 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
                 next->done = true;
                 continue;
             }
-            riscv::HaltReason r = c.run(chunk);
+            std::uint64_t retired = c.instret();
+            riscv::HaltReason r;
+            try {
+                r = c.run(chunk);
+            } catch (const sim::NodeYield &) {
+                // The yielding instruction did not retire; it runs again
+                // at the barrier. Count only what retired before it.
+                next->executed += c.instret() - retired;
+                node.yielded = true;
+                return;
+            }
             next->executed += chunk;
             node.progressed = true;
             if (r == riscv::HaltReason::kExited ||
@@ -1036,10 +1062,27 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
     const std::uint64_t idle_limit =
         std::max<std::uint64_t>(1, 1'000'000 / quantum);
 
+    // Node phases run confined: a cross-node step yields, and the node's
+    // epoch is finished by the barrier below. Every worker count, one
+    // included, runs this same schedule.
+    auto confined_phase = [&](std::uint32_t n) {
+        sim::ConfinedScope confined;
+        node_phase(n);
+    };
+
     auto barrier = [&](std::uint64_t) -> bool {
-        // Serial context: replay deferred cross-node interactions in
-        // deterministic mailbox order, then advance shared device time
-        // to the boundary.
+        // Serial context: first finish the epochs of nodes that yielded
+        // at a cross-node step, one at a time in node order, so those
+        // steps happen in an order no worker interleaving can change.
+        for (std::uint32_t n = 0; n < nodes; ++n) {
+            if (ns[n].yielded) {
+                ns[n].yielded = false;
+                stats_.counter(kPlatformPhaseYields).increment();
+                node_phase(n);
+            }
+        }
+        // Then replay deferred cross-node interactions in deterministic
+        // mailbox order, and advance shared device time to the boundary.
         std::uint64_t delivered = router_.drain();
         clint_->setTime(boundary);
         std::uint64_t events = eq_.runUntil(boundary);
@@ -1188,6 +1231,13 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
                 std::uint64_t k =
                     (horizon - boundary + quantum - 1) / quantum;
                 idle_epochs += k - 1;
+                // The last skipped barrier's time advance crosses no
+                // deadline, but the next phase can read it: a core
+                // whose clock ran ahead, or that yielded, may load
+                // mtime there. Replicate it.
+                Cycles last = boundary + (k - 1) * quantum;
+                clint_->setTime(last);
+                eq_.runUntil(last);
                 boundary += k * quantum;
                 return true;
             }
@@ -1204,7 +1254,7 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
     while (true) {
         init_run();
         recovery_pending = false;
-        exec.run(nodes, node_phase, barrier);
+        exec.run(nodes, confined_phase, barrier);
         if (!recovery_pending)
             break;
 

@@ -172,5 +172,29 @@ TEST(CacheArray, PropertyNoConflictWithinAssociativity)
         EXPECT_TRUE(c.probe(0x100000 + w * set_stride));
 }
 
+/** victimFor() names exactly the line insert() then evicts, and
+ *  changes nothing itself (not even LRU order). */
+TEST(CacheArray, VictimForPredictsInsertWithoutMutating)
+{
+    CacheArray c(8 << 10, 4);
+    std::uint64_t set_stride = 64ULL * c.sets();
+    EXPECT_FALSE(c.victimFor(0x100000)); // Empty set: a free way.
+    for (int w = 0; w < 4; ++w)
+        c.insert(0x100000 + w * set_stride, w);
+    c.lookup(0x100000); // Way 0 is now most recent; way 1 is LRU.
+    EXPECT_FALSE(c.victimFor(0x100000)) << "resident line evicts nothing";
+
+    Addr next = 0x100000 + 4 * set_stride;
+    auto predicted = c.victimFor(next);
+    ASSERT_TRUE(predicted);
+    EXPECT_EQ(predicted->line, 0x100000 + set_stride);
+    EXPECT_EQ(predicted->state, 1u);
+    EXPECT_EQ(c.victimFor(next)->line, predicted->line);
+    auto evicted = c.insert(next);
+    ASSERT_TRUE(evicted);
+    EXPECT_EQ(evicted->line, predicted->line);
+    EXPECT_EQ(evicted->state, predicted->state);
+}
+
 } // namespace
 } // namespace smappic::cache

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/coherent_system.hpp"
+#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 
 namespace smappic::cache
@@ -36,6 +37,46 @@ TEST(CoherentSystem, ColdMissThenHits)
     auto hit = cs.access(0, 0x1008, AccessType::kLoad, 8, 1000);
     EXPECT_EQ(hit.level, ServiceLevel::kL1);
     EXPECT_EQ(hit.latency, cs.timing().l1HitLatency);
+}
+
+/** A confined node phase takes a miss only when every step of it stays
+ *  on the requester's node. Any other miss throws sim::NodeYield before
+ *  it changes the directory, the arrays or the stats. */
+TEST(CoherentSystem, ConfinedMissYieldsBeforeChangingAnything)
+{
+    Geometry geo = smallGeo(2, 2);
+    CoherentSystem cs(geo, TimingParams{}, HomingPolicy::kAddressNode);
+    cs.setParallel(true);
+    Addr local = geo.dramBase + 0x1000;  // Homed on node 0.
+    Addr shared = geo.dramBase + 0x2000; // Homed on node 0, cached by node 1.
+    Addr remote = geo.dramBase + geo.memPerNode + 0x1000; // Node 1.
+    cs.access(2, shared, AccessType::kLoad, 8, 0);
+
+    auto misses = [&] { return cs.stats().counterValue("cs.bpc.misses"); };
+    std::uint64_t before = misses();
+    {
+        sim::ConfinedScope confined;
+        EXPECT_THROW(cs.access(0, remote, AccessType::kLoad, 8, 100),
+                     sim::NodeYield);
+        EXPECT_THROW(cs.access(1, shared, AccessType::kStore, 8, 100),
+                     sim::NodeYield);
+        EXPECT_EQ(misses(), before);
+        EXPECT_FALSE(cs.inspectLine(remote).hasDirEntry);
+        EXPECT_EQ(cs.inspectLine(shared).sharers, 1ULL << 2);
+        EXPECT_EQ(cs.inspectLine(shared).owner, -1);
+
+        // Node 0's own line: the whole miss stays on node 0.
+        auto r = cs.access(0, local, AccessType::kLoad, 8, 100);
+        EXPECT_EQ(r.level, ServiceLevel::kDramLocal);
+        EXPECT_EQ(misses(), before + 1);
+        // Hits never yield.
+        EXPECT_EQ(cs.access(0, local, AccessType::kLoad, 8, 200).level,
+                  ServiceLevel::kL1);
+    }
+    // Outside the scope the same steps simply run.
+    EXPECT_NO_THROW(cs.access(1, shared, AccessType::kStore, 8, 300));
+    EXPECT_EQ(cs.inspectLine(shared).owner, 1);
+    EXPECT_TRUE(cs.checkDirectory());
 }
 
 TEST(CoherentSystem, SecondTileHitsLlc)
