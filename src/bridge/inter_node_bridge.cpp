@@ -19,7 +19,6 @@ const sim::StatId kDuplicates("bridge.duplicates");
 const sim::StatId kCreditTimeouts("bridge.creditTimeouts");
 const sim::StatId kPeerDegraded("bridge.peerDegraded");
 const sim::StatId kPeerRecovered("bridge.peerRecovered");
-const sim::StatId kDeferred("bridge.deferred");
 const sim::StatId kAxiWrites("bridge.axiWrites");
 const sim::StatId kFlitsSent("bridge.flitsSent");
 const sim::StatId kCreditReads("bridge.creditReads");
@@ -123,14 +122,6 @@ InterNodeBridge::hasPendingTraffic(const PeerState &peer)
 void
 InterNodeBridge::sendPacket(const noc::Packet &pkt)
 {
-    if (router_ && sim::currentNode() != sim::kNoNode) {
-        // Node-phase caller: the packet enters the bridge at the next
-        // quantum boundary, in deterministic mailbox order.
-        if (stats_)
-            stats_->counter(kDeferred).increment();
-        router_->post([this, pkt] { sendPacket(pkt); });
-        return;
-    }
     panicIf(pkt.dstNode == node_, "bridge asked to send a local packet");
     auto it = peers_.find(pkt.dstNode);
     panicIf(it == peers_.end(), "bridge has no peer for destination node");

@@ -46,7 +46,6 @@
 #include "pcie/pcie_fabric.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
-#include "sim/parallel.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
 
@@ -114,14 +113,6 @@ class InterNodeBridge : public axi::Target
      * the credit read before it reaches the fabric — a poll timeout).
      */
     void setFaultInjector(sim::FaultInjector *fi) { fault_ = fi; }
-
-    /**
-     * Attaches the phased engine's mailbox (null to detach). With a
-     * router set, sendPacket() calls made from inside a node phase are
-     * deferred to the next quantum boundary, so the bridge's queues,
-     * credits and event scheduling only ever mutate in serial context.
-     */
-    void setRouter(sim::MailboxRouter *router) { router_ = router; }
 
     /**
      * Attaches the platform tracer (null to detach). The bridge emits
@@ -267,7 +258,6 @@ class InterNodeBridge : public axi::Target
     BridgeConfig cfg_;
     sim::StatRegistry *stats_;
     sim::FaultInjector *fault_ = nullptr;
-    sim::MailboxRouter *router_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
 
     std::map<NodeId, PeerState> peers_;

@@ -88,7 +88,7 @@ CoherentSystem::CoherentSystem(const Geometry &geo, const TimingParams &timing,
         bpc_.emplace_back(geo.bpcBytes, geo.bpcWays);
         llc_.emplace_back(geo.llcSliceBytes, geo.llcWays);
     }
-    tileMu_ = std::make_unique<std::mutex[]>(total);
+    directory_.resize(geo.nodes);
     llcServer_.assign(total, sim::QueueServer(4));
     dramServer_.assign(geo.nodes, sim::QueueServer(timing_.dramBanks));
     for (std::uint32_t n = 0; n < geo.nodes; ++n) {
@@ -231,37 +231,28 @@ CoherentSystem::dramAccess(NodeId node, std::uint32_t bytes, Cycles t)
 }
 
 void
-CoherentSystem::dropPrivate(Addr line, GlobalTileId gid)
+CoherentSystem::dropPrivate(Addr line, GlobalTileId gid, DirEntry *dir)
 {
-    {
-        // The recalled tile may be running its lock-free-looking hit
-        // path on another worker right now; its guard orders the two.
-        auto tile_guard = tileGuard(gid);
-        l1d_[gid].invalidate(line);
-        l1i_[gid].invalidate(line);
-        bpc_[gid].invalidate(line);
-    }
+    l1d_[gid].invalidate(line);
+    l1i_[gid].invalidate(line);
+    bpc_[gid].invalidate(line);
     maybeClearStale(line, gid);
-    auto it = directory_.find(line);
-    if (it == directory_.end())
+    if (!dir)
         return;
-    it->second.sharers &= ~(1ULL << gid);
-    if (it->second.owner == static_cast<std::int32_t>(gid))
-        it->second.owner = -1;
+    dir->sharers &= ~(1ULL << gid);
+    if (dir->owner == static_cast<std::int32_t>(gid))
+        dir->owner = -1;
 }
 
 void
-CoherentSystem::loseInvalidation(Addr line, GlobalTileId gid)
+CoherentSystem::loseInvalidation(DirEntry &dir, GlobalTileId gid)
 {
     // The directory forgets the copy (as if the ack arrived) but the
     // tile's arrays are left untouched: from now on the tile serves the
     // frozen pre-store image of the line.
-    auto it = directory_.find(line);
-    if (it != directory_.end()) {
-        it->second.sharers &= ~(1ULL << gid);
-        if (it->second.owner == static_cast<std::int32_t>(gid))
-            it->second.owner = -1;
-    }
+    dir.sharers &= ~(1ULL << gid);
+    if (dir.owner == static_cast<std::int32_t>(gid))
+        dir.owner = -1;
     staleFired_ = true;
     staleVictim_ = gid;
     staleBytes_ = armedBytes_;
@@ -269,10 +260,9 @@ CoherentSystem::loseInvalidation(Addr line, GlobalTileId gid)
 }
 
 Cycles
-CoherentSystem::recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
-                              bool keep_data_in_llc)
+CoherentSystem::recallPrivate(DirEntry &dir, Addr line, NodeId hn, TileId ht,
+                              Cycles t, std::uint64_t keep)
 {
-    DirEntry &dir = dirEntry(line);
     Cycles last_ack = t;
 
     auto round_trip = [&](GlobalTileId g, std::uint32_t resp_bytes) {
@@ -282,33 +272,31 @@ CoherentSystem::recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
         last_ack = std::max(last_ack, tr);
     };
 
-    if (dir.owner >= 0) {
+    if (dir.owner >= 0 && ((keep >> dir.owner) & 1) == 0) {
         auto g = static_cast<GlobalTileId>(dir.owner);
         round_trip(g, kDataBytes); // Owner returns dirty data.
-        if (keep_data_in_llc)
-            dir.dirty = true;
-        dropPrivate(line, g);
+        dir.dirty = true;
+        dropPrivate(line, g, &dir);
         stats_->counter(kDirOwnerRecalls).increment();
     }
-    std::uint64_t sharers = dir.sharers;
+    std::uint64_t sharers = dir.sharers & ~keep;
     while (sharers) {
         auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
         sharers &= sharers - 1;
         round_trip(g, kReqBytes); // Clean sharers ack without data.
         if (shouldLoseInvalidation(line))
-            loseInvalidation(line, g);
+            loseInvalidation(dir, g);
         else
-            dropPrivate(line, g);
+            dropPrivate(line, g, &dir);
         stats_->counter(kDirInvalidations).increment();
     }
     return last_ack;
 }
 
 Cycles
-CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
-                                  bool &from_dram)
+CoherentSystem::llcEnsureResident(DirEntry &dir, Addr line, NodeId hn,
+                                  TileId ht, Cycles t, bool &from_dram)
 {
-    DirEntry &dir = dirEntry(line);
     if (dir.inLlc) {
         from_dram = false;
         return t;
@@ -334,11 +322,14 @@ CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
     auto victim = llc_[home_gid].insert(line, 0);
     if (victim) {
         // Inclusive LLC: recall every private copy of the victim line and
-        // write it back if dirty anywhere.
+        // write it back if dirty anywhere. The home slice holds only lines
+        // homed on hn, so the victim's entry is in hn's shard, and it is
+        // never @p line's: the insert above panics on a resident line.
         Addr vline = victim->line;
-        auto vit = directory_.find(vline);
+        DirShard &shard = directory_[hn];
+        auto vit = shard.find(vline);
         bool dirty = (victim->state & 1) != 0;
-        if (vit != directory_.end()) {
+        if (vit != shard.end()) {
             DirEntry &vdir = vit->second;
             if (vdir.owner >= 0)
                 dirty = true;
@@ -349,9 +340,9 @@ CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
                 auto g =
                     static_cast<GlobalTileId>(__builtin_ctzll(members));
                 members &= members - 1;
-                dropPrivate(vline, g);
+                dropPrivate(vline, g, &vdir);
             }
-            directory_.erase(vit);
+            shard.erase(vit);
         }
         if (dirty) {
             NodeId vnode = addrNode(vline);
@@ -362,9 +353,8 @@ CoherentSystem::llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
         stats_->counter(kLlcEvictions).increment();
     }
 
-    DirEntry &fresh = dirEntry(line);
-    fresh.inLlc = true;
-    fresh.dirty = false;
+    dir.inLlc = true;
+    dir.dirty = false;
     stats_->counter(kLlcFills).increment();
     return t;
 }
@@ -380,8 +370,10 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
         l1d_[gid].invalidate(vline);
         l1i_[gid].invalidate(vline);
 
-        auto vit = directory_.find(vline);
-        if (vit == directory_.end()) {
+        auto [vhn, vht] = homeOf(vline);
+        DirShard &vshard = directory_[vhn];
+        auto vit = vshard.find(vline);
+        if (vit == vshard.end()) {
             // Only reachable when a test mutation orphaned this copy
             // (the directory dropped it without the tile noticing and
             // the entry was since reclaimed); silently complete the
@@ -391,7 +383,6 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
             maybeClearStale(vline, gid);
         } else {
             DirEntry &vdir = vit->second;
-            auto [vhn, vht] = homeOf(vline);
             if (victim->state == kModified) {
                 // Dirty victim: write back to the home LLC slice. The
                 // writeback is buffered, so it consumes path bandwidth
@@ -427,7 +418,6 @@ CoherentSystem::deviceAccess(const DeviceWindow &w, GlobalTileId gid,
                              Addr addr, AccessType type, std::uint32_t bytes,
                              Cycles now)
 {
-    auto guard = parallelGuard();
     bool crossed = false;
     Cycles t = now + timing_.l1MissDetect;
     t = nocPath(nodeOf(gid), tileOf(gid), nodeOf(w.gid), tileOf(w.gid),
@@ -457,9 +447,6 @@ CoherentSystem::fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // stale-copy bookkeeping (stalePeek) lives there.
     if (mutation_ != TestMutation::kNone)
         return false;
-    // Same guard the slow hit path holds: a peer's recall can be
-    // invalidating this tile's lines on another worker (see tileGuard).
-    auto tile_guard = tileGuard(gid);
     // lookup() touches the LRU on a hit — the identical (checkpointed)
     // side effect the slow path's hit branch performs — and mutates
     // nothing on a miss.
@@ -480,9 +467,6 @@ CoherentSystem::loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // the observer bail is belt and braces, not a parity requirement.)
     if (mutation_ != TestMutation::kNone || observer_ != nullptr)
         return false;
-    // Same guard the slow hit path holds: a peer's recall can be
-    // invalidating this tile's lines on another worker (see tileGuard).
-    auto tile_guard = tileGuard(gid);
     // lookup() touches the LRU on a hit — the identical (checkpointed)
     // side effect the slow path's L1 hit branch performs — and mutates
     // nothing on a miss.
@@ -499,9 +483,6 @@ CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     if (mutation_ != TestMutation::kNone || observer_ != nullptr)
         return false;
     Addr line = lineAlign(addr);
-    // Same guard the slow hit path holds: a peer's recall can be
-    // invalidating this tile's lines on another worker (see tileGuard).
-    auto tile_guard = tileGuard(gid);
     // One scan settles presence + M state and performs the slow path's
     // exact BPC LRU touch; a miss or non-M state mutates nothing. The
     // discarded-result lookup matches the slow path's probe-then-touch
@@ -553,7 +534,6 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         NodeId dn = addrNode(addr);
         if (dn != my_node)
             sim::yieldIfConfined();
-        auto guard = parallelGuard();
         bool crossed = false;
         Cycles t = now + timing_.l1MissDetect;
         t = nocPath(my_node, my_tile, dn, noc::kOffChipTile,
@@ -572,57 +552,46 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
 
     CacheArray &l1 = (type == AccessType::kFetch) ? l1i_[gid] : l1d_[gid];
 
-    // Hit paths hold only this tile's guard: a peer's miss path can be
-    // recalling lines from these arrays concurrently (under mu_ plus
-    // this same tile guard). Released before the miss path takes mu_ —
-    // the lock order is strictly mu_ -> tile.
-    {
-        auto tile_guard = tileGuard(gid);
-
-        // --- L1 hit path ---
-        if (type == AccessType::kLoad || type == AccessType::kFetch) {
-            if (l1.lookup(addr)) {
-                stats_->counter(kL1Hits).increment();
-                AccessResult res{timing_.l1HitLatency, ServiceLevel::kL1,
-                                 false};
-                if (mutation_ != TestMutation::kNone)
-                    res.staleData = stalePeek(gid, line, type);
-                return res;
-            }
-        } else if (type == AccessType::kStore) {
-            // Write-through L1: a store completes at L1 speed only when
-            // the BPC already holds the line in M (the store buffer
-            // hides the write-through).
-            if (bpc_[gid].probe(line) &&
-                bpc_[gid].state(line) == kModified) {
-                bpc_[gid].lookup(line);
-                if (l1.probe(line))
-                    l1.lookup(line);
-                stats_->counter(kL1StoreHits).increment();
-                return AccessResult{timing_.l1HitLatency,
-                                    ServiceLevel::kL1, false};
-            }
-        }
-
-        // --- BPC hit path (loads/fetches with at least S) ---
-        if ((type == AccessType::kLoad || type == AccessType::kFetch) &&
-            bpc_[gid].lookup(line)) {
-            if (!l1.probe(line))
-                l1.insert(line, kShared);
-            stats_->counter(kBpcHits).increment();
-            AccessResult res{timing_.l1MissDetect + timing_.privLatency,
-                             ServiceLevel::kPrivate, false};
+    // --- L1 hit path ---
+    if (type == AccessType::kLoad || type == AccessType::kFetch) {
+        if (l1.lookup(addr)) {
+            stats_->counter(kL1Hits).increment();
+            AccessResult res{timing_.l1HitLatency, ServiceLevel::kL1, false};
             if (mutation_ != TestMutation::kNone)
                 res.staleData = stalePeek(gid, line, type);
             return res;
         }
+    } else if (type == AccessType::kStore) {
+        // Write-through L1: a store completes at L1 speed only when the
+        // BPC already holds the line in M (the store buffer hides the
+        // write-through).
+        if (bpc_[gid].probe(line) && bpc_[gid].state(line) == kModified) {
+            bpc_[gid].lookup(line);
+            if (l1.probe(line))
+                l1.lookup(line);
+            stats_->counter(kL1StoreHits).increment();
+            return AccessResult{timing_.l1HitLatency, ServiceLevel::kL1,
+                                false};
+        }
+    }
+
+    // --- BPC hit path (loads/fetches with at least S) ---
+    if ((type == AccessType::kLoad || type == AccessType::kFetch) &&
+        bpc_[gid].lookup(line)) {
+        if (!l1.probe(line))
+            l1.insert(line, kShared);
+        stats_->counter(kBpcHits).increment();
+        AccessResult res{timing_.l1MissDetect + timing_.privLatency,
+                         ServiceLevel::kPrivate, false};
+        if (mutation_ != TestMutation::kNone)
+            res.staleData = stalePeek(gid, line, type);
+        return res;
     }
 
     // --- Miss: transaction to the home LLC slice ---
-    // The miss path touches cross-node state (directory, home LLC/DRAM
-    // servers, bridge shapers, peer private arrays on recalls), so it is
-    // one critical section under the phased engine.
-    auto guard = parallelGuard();
+    // The miss path may touch other nodes' state (the home's directory
+    // shard, LLC and DRAM servers, bridge shapers, peer private arrays on
+    // recalls), so a confined phase takes it only when it stays on node.
     if (sim::confinedPhase() && !missStaysOnNode(gid, line, type))
         throw sim::NodeYield{};
     stats_->counter(kBpcMisses).increment();
@@ -636,7 +605,9 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     auto grant = llcServer_[home_gid].offer(t, timing_.llcOccupancy);
     t = grant.start + timing_.llcLatency;
 
-    DirEntry &dir = dirEntry(line);
+    // The one directory lookup of this miss. Only the LLC victim's entry
+    // is ever erased below, and it is never this line's.
+    DirEntry &dir = directory_[hn][line];
     bool from_dram = false;
 
     switch (type) {
@@ -651,40 +622,36 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               t = nocPath(hn, ht, nodeOf(og), tileOf(og), kReqBytes, t);
               t += timing_.privLatency;
               t = nocPath(nodeOf(og), tileOf(og), hn, ht, kDataBytes, t);
-              {
-                  auto tile_guard = tileGuard(og);
-                  bpc_[og].setState(line, kShared);
-              }
+              bpc_[og].setState(line, kShared);
               dir.sharers |= 1ULL << og;
               dir.owner = -1;
               dir.dirty = true;
               stats_->counter(kDirDowngrades).increment();
           } else {
-              t = llcEnsureResident(line, hn, ht, t, from_dram);
+              t = llcEnsureResident(dir, line, hn, ht, t, from_dram);
           }
           t = nocPath(hn, ht, my_node, my_tile, kDataBytes, t);
           t += timing_.privFillLatency;
           privateFill(line, gid, kShared, type == AccessType::kFetch, t);
-          dirEntry(line).sharers |= 1ULL << gid;
+          dir.sharers |= 1ULL << gid;
           break;
       }
       case AccessType::kStore: {
           if (dir.owner >= 0 || (dir.sharers & ~(1ULL << gid)) != 0) {
-              Cycles acks = recallPrivateExcept(line, hn, ht, t, gid);
+              Cycles acks = recallPrivate(dir, line, hn, ht, t, 1ULL << gid);
               t = std::max(t, acks);
           }
-          t = llcEnsureResident(line, hn, ht, t, from_dram);
+          t = llcEnsureResident(dir, line, hn, ht, t, from_dram);
           std::uint32_t resp = upgrade ? kReqBytes : kDataBytes;
           t = nocPath(hn, ht, my_node, my_tile, resp, t);
           t += timing_.privFillLatency;
           bool drop_owner = mutation_ == TestMutation::kDropOwnerUpdate &&
                             line == mutationLine_;
-          DirEntry &d = dirEntry(line);
-          d.sharers &= ~(1ULL << gid);
+          dir.sharers &= ~(1ULL << gid);
           if (drop_owner)
               stats_->counter(kMutationDroppedOwnerUpdates).increment();
           else
-              d.owner = static_cast<std::int32_t>(gid);
+              dir.owner = static_cast<std::int32_t>(gid);
           if (bpc_[gid].probe(line)) {
               bpc_[gid].setState(line, kModified);
               bpc_[gid].lookup(line);
@@ -693,7 +660,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               privateFill(line, gid, kModified, false, t);
               // privateFill does not touch dir ownership; re-assert it.
               if (!drop_owner)
-                  dirEntry(line).owner = static_cast<std::int32_t>(gid);
+                  dir.owner = static_cast<std::int32_t>(gid);
           }
           if (mutation_ != TestMutation::kNone && line == mutationLine_ &&
               !staleFired_) {
@@ -710,11 +677,10 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
       case AccessType::kAtomic: {
           // Atomics execute at the home LLC slice; every private copy
           // (including the requester's) is recalled first.
-          Cycles acks = recallPrivate(line, hn, ht, t, true);
+          Cycles acks = recallPrivate(dir, line, hn, ht, t, 0);
           t = std::max(t, acks);
-          t = llcEnsureResident(line, hn, ht, t, from_dram);
-          DirEntry &d = dirEntry(line);
-          d.dirty = true;
+          t = llcEnsureResident(dir, line, hn, ht, t, from_dram);
+          dir.dirty = true;
           t = nocPath(hn, ht, my_node, my_tile, kReqBytes + 8, t);
           stats_->counter(kAtomics).increment();
           break;
@@ -799,8 +765,9 @@ CoherentSystem::missStaysOnNode(GlobalTileId gid, Addr line, AccessType type)
     bool is_load = type == AccessType::kLoad || type == AccessType::kFetch;
     bool in_llc = false;
     bool owner_forward = false;
-    auto it = directory_.find(line);
-    if (it != directory_.end()) {
+    const DirShard &shard = directory_[hn];
+    auto it = shard.find(line);
+    if (it != shard.end()) {
         if (!members_on_node(it->second))
             return false;
         in_llc = it->second.inLlc;
@@ -815,8 +782,8 @@ CoherentSystem::missStaysOnNode(GlobalTileId gid, Addr line, AccessType type)
         if (auto v = llc_[gidOf(hn, ht)].victimFor(line)) {
             if (addrNode(v->line) != node)
                 return false;
-            auto vit = directory_.find(v->line);
-            if (vit != directory_.end() && !members_on_node(vit->second))
+            auto vit = shard.find(v->line);
+            if (vit != shard.end() && !members_on_node(vit->second))
                 return false;
         }
     }
@@ -833,57 +800,20 @@ CoherentSystem::missStaysOnNode(GlobalTileId gid, Addr line, AccessType type)
     return true;
 }
 
-Cycles
-CoherentSystem::recallPrivateExcept(Addr line, NodeId hn, TileId ht, Cycles t,
-                                    GlobalTileId except)
-{
-    DirEntry &dir = dirEntry(line);
-    Cycles last_ack = t;
-
-    auto round_trip = [&](GlobalTileId g, std::uint32_t resp_bytes) {
-        Cycles tr = nocPath(hn, ht, nodeOf(g), tileOf(g), kReqBytes, t);
-        tr += timing_.privLatency;
-        tr = nocPath(nodeOf(g), tileOf(g), hn, ht, resp_bytes, tr);
-        last_ack = std::max(last_ack, tr);
-    };
-
-    if (dir.owner >= 0 &&
-        dir.owner != static_cast<std::int32_t>(except)) {
-        auto g = static_cast<GlobalTileId>(dir.owner);
-        round_trip(g, kDataBytes);
-        dir.dirty = true;
-        dropPrivate(line, g);
-        stats_->counter(kDirOwnerRecalls).increment();
-    }
-    std::uint64_t sharers = dir.sharers & ~(1ULL << except);
-    while (sharers) {
-        auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
-        sharers &= sharers - 1;
-        round_trip(g, kReqBytes);
-        if (shouldLoseInvalidation(line))
-            loseInvalidation(line, g);
-        else
-            dropPrivate(line, g);
-        stats_->counter(kDirInvalidations).increment();
-    }
-    return last_ack;
-}
-
 void
 CoherentSystem::flushPrivate(GlobalTileId gid)
 {
-    auto guard = parallelGuard();
     panicIf(gid >= geo_.totalTiles(), "flushPrivate of unknown tile");
     std::vector<Addr> lines;
     bpc_[gid].forEachLine(
         [&](Addr line, std::uint32_t) { lines.push_back(line); });
     for (Addr line : lines) {
-        auto it = directory_.find(line);
-        if (it != directory_.end() &&
-            it->second.owner == static_cast<std::int32_t>(gid)) {
-            it->second.dirty = true; // Writeback lands in the home LLC.
-        }
-        dropPrivate(line, gid);
+        DirShard &shard = shardOf(line);
+        auto it = shard.find(line);
+        DirEntry *dir = it != shard.end() ? &it->second : nullptr;
+        if (dir && dir->owner == static_cast<std::int32_t>(gid))
+            dir->dirty = true; // Writeback lands in the home LLC.
+        dropPrivate(line, gid, dir);
         notify(CoherenceEventKind::kFlush, line, gid, 0);
     }
 }
@@ -907,8 +837,8 @@ CoherentSystem::inspectLine(Addr addr) const
     auto [hn, ht] = homeOf(line);
     v.homeNode = hn;
     v.homeTile = ht;
-    auto it = directory_.find(line);
-    if (it != directory_.end()) {
+    auto it = directory_[hn].find(line);
+    if (it != directory_[hn].end()) {
         v.hasDirEntry = true;
         v.sharers = it->second.sharers;
         v.owner = it->second.owner;
@@ -938,15 +868,18 @@ CoherentSystem::flushCaches()
         c.flush();
     for (auto &c : llc_)
         c.flush();
-    directory_.clear();
+    for (auto &shard : directory_)
+        shard.clear();
 }
 
 void
 CoherentSystem::forEachKnownLine(const std::function<void(Addr)> &fn) const
 {
     std::set<Addr> lines;
-    for (const auto &[line, dir] : directory_)
-        lines.insert(line);
+    for (const auto &shard : directory_) {
+        for (const auto &[line, dir] : shard)
+            lines.insert(line);
+    }
     auto collect = [&](const CacheArray &arr) {
         arr.forEachLine(
             [&](Addr line, std::uint32_t) { lines.insert(line); });
@@ -985,25 +918,30 @@ CoherentSystem::checkDirectory() const
 {
     // Expected membership per tile from the directory.
     std::vector<std::set<Addr>> expected(geo_.totalTiles());
-    for (const auto &[line, dir] : directory_) {
-        if (dir.owner >= 0) {
-            // An owned line must have no other sharers.
-            if ((dir.sharers & ~(1ULL << dir.owner)) != 0)
+    for (NodeId n = 0; n < geo_.nodes; ++n) {
+        for (const auto &[line, dir] : directory_[n]) {
+            // Each entry lives in its home node's shard.
+            if (homeOf(line).first != n)
                 return false;
-            expected[static_cast<std::size_t>(dir.owner)].insert(line);
-        }
-        std::uint64_t sharers = dir.sharers;
-        while (sharers) {
-            auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
-            sharers &= sharers - 1;
-            if (dir.owner == static_cast<std::int32_t>(g)) {
-                continue;
+            if (dir.owner >= 0) {
+                // An owned line must have no other sharers.
+                if ((dir.sharers & ~(1ULL << dir.owner)) != 0)
+                    return false;
+                expected[static_cast<std::size_t>(dir.owner)].insert(line);
             }
-            expected[g].insert(line);
+            std::uint64_t sharers = dir.sharers;
+            while (sharers) {
+                auto g = static_cast<GlobalTileId>(__builtin_ctzll(sharers));
+                sharers &= sharers - 1;
+                if (dir.owner == static_cast<std::int32_t>(g)) {
+                    continue;
+                }
+                expected[g].insert(line);
+            }
+            // Private copies require LLC residency (inclusive hierarchy).
+            if ((dir.sharers != 0 || dir.owner >= 0) && !dir.inLlc)
+                return false;
         }
-        // Private copies require LLC residency (inclusive hierarchy).
-        if ((dir.sharers != 0 || dir.owner >= 0) && !dir.inLlc)
-            return false;
     }
 
     for (std::uint32_t g = 0; g < geo_.totalTiles(); ++g) {
@@ -1022,15 +960,17 @@ CoherentSystem::saveState(snap::Writer &w) const
     w.u32(geo_.nodes);
     w.u32(geo_.tilesPerNode);
 
-    // Directory, sorted by line so the payload is container-order free.
-    std::vector<Addr> lines;
-    lines.reserve(directory_.size());
-    for (const auto &[line, entry] : directory_)
-        lines.push_back(line);
-    std::sort(lines.begin(), lines.end());
-    w.u64(lines.size());
-    for (Addr line : lines) {
-        const DirEntry &d = directory_.at(line);
+    // Directory, every shard merged and sorted by line, so the payload is
+    // free of container order and of the sharding.
+    std::vector<std::pair<Addr, const DirEntry *>> entries;
+    for (const auto &shard : directory_) {
+        for (const auto &[line, entry] : shard)
+            entries.emplace_back(line, &entry);
+    }
+    std::sort(entries.begin(), entries.end());
+    w.u64(entries.size());
+    for (const auto &[line, entry] : entries) {
+        const DirEntry &d = *entry;
         w.u64(line);
         w.u64(d.sharers);
         w.u32(static_cast<std::uint32_t>(d.owner));
@@ -1063,12 +1003,12 @@ CoherentSystem::restoreState(snap::Reader &r)
                    "system's %ux%u",
                    nodes, tiles, geo_.nodes, geo_.tilesPerNode));
 
-    directory_.clear();
+    for (auto &shard : directory_)
+        shard.clear();
     std::uint64_t dir_count = r.u64();
-    directory_.reserve(dir_count);
     for (std::uint64_t i = 0; i < dir_count; ++i) {
         Addr line = r.u64();
-        DirEntry &d = directory_[line];
+        DirEntry &d = shardOf(line)[line];
         d.sharers = r.u64();
         d.owner = static_cast<std::int32_t>(r.u32());
         d.inLlc = r.boolean();

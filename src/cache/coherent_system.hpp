@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -179,10 +178,10 @@ struct CoherenceEvent
 /**
  * Observer hooked into CoherentSystem: notified after every protocol
  * state transition (miss-path transactions and flushes; pure hits change
- * no protocol state). Notifications run inside the system's shared-state
- * critical section under the phased engine, so observers may inspect
- * directory/cache state without extra locking. Null observer = zero cost
- * beyond one pointer test per transition.
+ * no protocol state). With an observer attached, every miss of a
+ * confined node phase yields, so notifications run in serial context
+ * and observers may inspect directory/cache state without locking. Null
+ * observer = zero cost beyond one pointer test per transition.
  */
 class CoherenceObserver
 {
@@ -258,9 +257,28 @@ class NcDevice
 /**
  * The coherent multi-node memory system.
  *
- * Tiles are addressed by GlobalTileId = node * tilesPerNode + tile. The
- * class is deliberately single-threaded: callers (the guest-OS thread
- * scheduler, the RISC-V cores) serialize accesses in virtual-time order.
+ * Tiles are addressed by GlobalTileId = node * tilesPerNode + tile.
+ * Callers (the guest-OS thread scheduler, the RISC-V cores) serialize
+ * accesses in virtual-time order. The class takes no lock.
+ *
+ * The phased engine still calls it from several threads at once, one
+ * per node phase, and relies on confinement (sim::ConfinedScope) so
+ * that every piece of state has one writer at a time:
+ *  - A confined phase acting for node N takes a miss only when
+ *    missStaysOnNode() holds: the line's home, its DRAM, every recalled
+ *    or forwarded copy and both victims are on N. It checks the home
+ *    before it reads the directory, so it only ever reads N's shard.
+ *    Device and remote-NC accesses yield before doing anything.
+ *  - So the phase writes only N's directory shard (lines homed on N),
+ *    N's tiles' L1/BPC arrays, LLC slices and LLC servers, and N's DRAM
+ *    server. Same-node NoC paths touch no shared state, and the bridge
+ *    and PCIe shapers are touched only by crossings, which yield.
+ *  - Every yielded remainder runs in the serial barrier while all other
+ *    workers wait, so it may touch any node's state.
+ * The stats go through per-node StatRegistry::Redirect shards and the
+ * tracer keeps per-node buffers. MainMemory keeps its own lock: a
+ * confined L1 hit on a remote-homed shared line reads another node's
+ * page while that node may be inserting a page.
  */
 class CoherentSystem
 {
@@ -354,7 +372,7 @@ class CoherentSystem
     /**
      * Installs (or clears, with nullptr) the transition observer. The
      * observer is invoked synchronously from the miss path and from
-     * flushPrivate(), inside the shared-state critical section.
+     * flushPrivate().
      */
     void setObserver(CoherenceObserver *observer) { observer_ = observer; }
 
@@ -399,52 +417,6 @@ class CoherentSystem
 
     /** Per-system stats live under the "cs." prefix in the registry. */
     sim::StatRegistry &stats() { return *stats_; }
-
-    /**
-     * Enables (or disables) parallel-phase locking. When on, the paths
-     * that touch state shared between nodes — device windows, NC memory
-     * operations and the whole miss path (directory, LLC/DRAM servers,
-     * bridge shapers) — serialize on one recursive mutex, while L1/BPC
-     * hits take only their own tile's lock (the phased engine confines
-     * a tile's accesses to one worker, but a *peer's* miss path recalls
-     * lines from this tile's arrays mid-quantum, so hits cannot go
-     * entirely lock-free — see tileGuard()). Off by default: the
-     * sequential engine pays one branch per access.
-     */
-    void setParallel(bool on) { parallel_ = on; }
-
-    /**
-     * The shared-state lock as an RAII guard (empty when parallel mode is
-     * off). Exposed so platform code touching devices outside access() —
-     * e.g. ecall console I/O — can join the same critical section. The
-     * mutex is recursive: device handlers may re-enter (UART IRQ ->
-     * PLIC -> packetizer) while the device path holds it.
-     */
-    std::unique_lock<std::recursive_mutex>
-    parallelGuard()
-    {
-        return parallel_ ? std::unique_lock(mu_)
-                         : std::unique_lock<std::recursive_mutex>();
-    }
-
-    /**
-     * Per-tile private-array lock as an RAII guard (empty when parallel
-     * mode is off). A tile's hit paths — the in-line L1/BPC hit cases of
-     * access() and the fetch/load/store fast paths — hold their own
-     * tile's guard; a miss path mutating a *different* tile's arrays
-     * (recall invalidations, owner downgrades) holds that tile's guard.
-     * Without it, a peer's recall races the owner's concurrent lookup on
-     * the same CacheArray bytes — a real data race that made phased
-     * cross-node-sharing runs nondeterministic. Lock order is strictly
-     * mu_ -> tile (hit paths never take mu_; miss paths take tile guards
-     * one at a time under mu_), so no cycle is possible.
-     */
-    std::unique_lock<std::mutex>
-    tileGuard(GlobalTileId gid)
-    {
-        return parallel_ ? std::unique_lock(tileMu_[gid])
-                         : std::unique_lock<std::mutex>();
-    }
 
     /** Total DRAM-channel queueing observed (for congestion tests). */
     Cycles dramQueuedCycles(NodeId node) const
@@ -506,29 +478,31 @@ class CoherentSystem
     /** DRAM access at @p node arriving at @p t; returns completion time. */
     Cycles dramAccess(NodeId node, std::uint32_t bytes, Cycles t);
 
-    /** Ensures the line is resident in its home LLC slice (fills on miss).
-     *  Returns completion time; sets @p from_dram. */
-    Cycles llcEnsureResident(Addr line, NodeId hn, TileId ht, Cycles t,
-                             bool &from_dram);
+    /** Ensures @p line (directory entry @p dir) is resident in its home
+     *  LLC slice (fills on miss). Returns completion time; sets
+     *  @p from_dram. */
+    Cycles llcEnsureResident(DirEntry &dir, Addr line, NodeId hn, TileId ht,
+                             Cycles t, bool &from_dram);
 
-    /** Recalls every private copy of @p line (invalidation fan-out).
-     *  Returns the time the last ack reaches the home. */
-    Cycles recallPrivate(Addr line, NodeId hn, TileId ht, Cycles t,
-                         bool keep_data_in_llc);
+    /**
+     * Recalls every private copy of @p line (directory entry @p dir)
+     * except those of the tiles in @p keep (invalidation fan-out). A
+     * recalled owner's dirty data lands in the LLC. Returns the time the
+     * last ack reaches the home.
+     */
+    Cycles recallPrivate(DirEntry &dir, Addr line, NodeId hn, TileId ht,
+                         Cycles t, std::uint64_t keep);
 
-    /** Like recallPrivate() but leaves @p except's copy untouched. */
-    Cycles recallPrivateExcept(Addr line, NodeId hn, TileId ht, Cycles t,
-                               GlobalTileId except);
-
-    /** Drops @p line from one tile's private hierarchy; updates directory. */
-    void dropPrivate(Addr line, GlobalTileId gid);
+    /** Drops @p line from one tile's private hierarchy and, when @p dir
+     *  is non-null, from its directory entry. */
+    void dropPrivate(Addr line, GlobalTileId gid, DirEntry *dir);
 
     /**
      * Test-mutation path: "loses" @p gid's invalidation of @p line — the
      * directory forgets the copy but the tile's arrays keep it, and the
      * pre-store line image is frozen as the tile's stale view.
      */
-    void loseInvalidation(Addr line, GlobalTileId gid);
+    void loseInvalidation(DirEntry &dir, GlobalTileId gid);
 
     /** True when the mutated recall of @p line must be skipped. */
     bool shouldLoseInvalidation(Addr line) const
@@ -578,7 +552,10 @@ class CoherentSystem
                               Addr addr, AccessType type, std::uint32_t bytes,
                               Cycles now);
 
-    DirEntry &dirEntry(Addr line) { return directory_[line]; }
+    using DirShard = std::unordered_map<Addr, DirEntry>;
+
+    /** The directory shard that tracks @p line: its home node's. */
+    DirShard &shardOf(Addr line) { return directory_[homeOf(line).first]; }
 
     Geometry geo_;
     TimingParams timing_;
@@ -586,7 +563,11 @@ class CoherentSystem
     noc::MeshTopology topo_;
 
     mem::MainMemory memory_;
-    std::unordered_map<Addr, DirEntry> directory_;
+    /** The MESI directory, one shard per home node: shard N holds the
+     *  lines homed on node N, so a confined phase reads and writes only
+     *  its own node's shard. Node-based maps keep entry references valid
+     *  across inserts and across erasing other entries. */
+    std::vector<DirShard> directory_;
 
     // Per-global-tile structures.
     std::vector<CacheArray> l1i_;
@@ -602,11 +583,6 @@ class CoherentSystem
     std::vector<sim::TrafficShaper> pcieOut_;
 
     std::vector<DeviceWindow> devices_;
-
-    bool parallel_ = false;
-    std::recursive_mutex mu_;
-    /** One lock per tile's private arrays; see tileGuard(). */
-    std::unique_ptr<std::mutex[]> tileMu_;
 
     CoherenceObserver *observer_ = nullptr;
 

@@ -30,8 +30,6 @@ kindName(EventKind kind)
       case EventKind::kCacheMiss: return "cacheMiss";
       case EventKind::kCacheAtomic: return "cacheAtomic";
       case EventKind::kNocPath: return "nocPath";
-      case EventKind::kNocHop: return "nocHop";
-      case EventKind::kNocDeliver: return "nocDeliver";
       case EventKind::kPcieWrite: return "pcieWrite";
       case EventKind::kPcieRead: return "pcieRead";
       case EventKind::kBridgeTx: return "bridgeTx";

@@ -67,14 +67,17 @@ inline constexpr std::uint32_t kEveryComponent =
 inline constexpr std::uint32_t kAllComponents =
     kEveryComponent & ~componentBit(Component::kDecodeCache);
 
-/** What happened at a trace point. Each kind belongs to one Component. */
+/**
+ * What happened at a trace point. Each kind belongs to one Component.
+ * Values 3 and 4 (per-router NoC hop and packet ejection) are retired:
+ * no model emits them, and they stay reserved so that every other kind
+ * keeps its value in the binary format.
+ */
 enum class EventKind : std::uint8_t
 {
     kCacheMiss = 0,   ///< Miss-path walk (arg=line, extra=ServiceLevel).
     kCacheAtomic = 1, ///< Atomic executed at the home LLC.
     kNocPath = 2,     ///< Transaction-level NoC traversal (arg=route).
-    kNocHop = 3,      ///< Router hop; no model emits it now.
-    kNocDeliver = 4,  ///< Packet ejection; no model emits it now.
     kPcieWrite = 5,   ///< Fabric write issued (duration=one-way transit).
     kPcieRead = 6,    ///< Fabric read issued.
     kBridgeTx = 7,    ///< Encapsulated AXI frame sent (extra=valid mask).
@@ -85,7 +88,15 @@ enum class EventKind : std::uint8_t
     kDecodeFlush = 12, ///< Whole-cache flush (FENCE.I/SFENCE/restore).
 };
 
+/** One past the largest EventKind value. */
 inline constexpr std::uint32_t kNumEventKinds = 13;
+
+/** True when @p k is the value of a live (not retired) EventKind. */
+constexpr bool
+isEventKind(std::uint32_t k)
+{
+    return k < kNumEventKinds && k != 3 && k != 4;
+}
 
 /** Short stable names for exporters ("cache", "cacheMiss", ...). */
 const char *componentName(Component c);
@@ -124,8 +135,6 @@ kindComponent(EventKind kind)
       case EventKind::kCacheAtomic:
         return Component::kCache;
       case EventKind::kNocPath:
-      case EventKind::kNocHop:
-      case EventKind::kNocDeliver:
         return Component::kNoc;
       case EventKind::kPcieWrite:
       case EventKind::kPcieRead:

@@ -14,7 +14,6 @@ namespace
 
 const sim::StatId kTransfers("pcie.transfers");
 const sim::StatId kBytes("pcie.bytes");
-const sim::StatId kDeferred("pcie.deferred");
 
 } // namespace
 
@@ -98,17 +97,6 @@ PcieFabric::traceTransfer(bool is_write, FpgaId src, Addr addr,
 }
 
 bool
-PcieFabric::deferToBarrier(std::function<void()> reissue)
-{
-    if (!router_ || sim::currentNode() == sim::kNoNode)
-        return false;
-    if (stats_)
-        stats_->counter(kDeferred).increment();
-    router_->post(std::move(reissue));
-    return true;
-}
-
-bool
 PcieFabric::preempt(const sim::FaultDecision &d, const CompletionFn &done)
 {
     if (d.drop) {
@@ -133,10 +121,6 @@ PcieFabric::preempt(const sim::FaultDecision &d, const CompletionFn &done)
 void
 PcieFabric::write(FpgaId src, axi::WriteReq req, CompletionFn done)
 {
-    if (deferToBarrier([this, src, req, done]() mutable {
-            write(src, std::move(req), std::move(done));
-        }))
-        return;
     const FabricWindow *w = decode(req.addr);
     if (!w) {
         ++decodeErrors_;
@@ -175,10 +159,6 @@ PcieFabric::write(FpgaId src, axi::WriteReq req, CompletionFn done)
 void
 PcieFabric::read(FpgaId src, axi::ReadReq req, CompletionFn done)
 {
-    if (deferToBarrier([this, src, req, done]() mutable {
-            read(src, std::move(req), std::move(done));
-        }))
-        return;
     const FabricWindow *w = decode(req.addr);
     if (!w) {
         ++decodeErrors_;

@@ -21,7 +21,6 @@
 #include "axi/axi.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fault.hpp"
-#include "sim/parallel.hpp"
 #include "sim/server.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -96,20 +95,9 @@ class PcieFabric
     void setFaultInjector(sim::FaultInjector *fi) { fault_ = fi; }
 
     /**
-     * Attaches the phased engine's mailbox (null to detach). With a
-     * router set, transactions issued from inside a node phase are
-     * deferred to the next quantum boundary and re-issued there in
-     * deterministic mailbox order — the fabric's event bookkeeping then
-     * only ever runs in serial context. Transactions issued from serial
-     * context (setup, host drivers, barrier events) are unaffected.
-     */
-    void setRouter(sim::MailboxRouter *router) { router_ = router; }
-
-    /**
      * Attaches the platform tracer (null to detach). Each accepted
      * transaction emits kPcieWrite/kPcieRead with duration = one-way
-     * transit (issue to far-side arrival); deferred transactions are
-     * traced when re-issued at the barrier, in mailbox order.
+     * transit (issue to far-side arrival).
      */
     void setTracer(obs::Tracer *tracer);
 
@@ -146,16 +134,11 @@ class PcieFabric
      *  when the transaction was consumed (dropped or errored). */
     bool preempt(const sim::FaultDecision &d, const CompletionFn &done);
 
-    /** Defers the call to the next barrier when inside a node phase.
-     *  @return True when the transaction was queued on the mailbox. */
-    bool deferToBarrier(std::function<void()> reissue);
-
     sim::EventQueue &eq_;
     Cycles oneWay_;
     double bytesPerCycle_;
     sim::StatRegistry *stats_;
     sim::FaultInjector *fault_ = nullptr;
-    sim::MailboxRouter *router_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
 
     /** Emits a kPcieWrite/kPcieRead event for a transaction from @p src

@@ -510,10 +510,9 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
                 return true;
             }
             if (num == 64) { // write(fd, buf, len)
-                // Console UART + PLIC are shared devices; under the
-                // phased engine this joins the device critical section.
+                // Console UART + PLIC are shared devices: under the
+                // phased engine this runs in the serial barrier.
                 sim::yieldIfConfined();
-                auto guard = cs_->parallelGuard();
                 NodeId n = g / cfg_.tilesPerNode;
                 Addr buf = c.reg(11);
                 std::uint64_t len = c.reg(12);
@@ -528,7 +527,6 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
             }
             if (num == 63) { // read(fd, buf, len) from the console UART
                 sim::yieldIfConfined();
-                auto guard = cs_->parallelGuard();
                 NodeId n = g / cfg_.tilesPerNode;
                 Addr buf = c.reg(11);
                 std::uint64_t len = c.reg(12);
@@ -576,17 +574,13 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
         cores_[g]->setTracer(&tracer_, g / cfg_.tilesPerNode,
                              cfg_.trace.coreStallCycles);
 
-    // Phased-engine wiring: shared components learn they may be entered
-    // from concurrent node phases, and mid-phase cross-node interactions
-    // are rerouted through the mailbox. All of it is inert (and costs
-    // one branch per hook) under the default sequential config.
+    // Phased-engine wiring: functional memory learns it may be entered
+    // from concurrent node phases, and cross-node interrupt packets are
+    // rerouted through the mailbox. Both are inert (and cost one branch
+    // per hook) under the default sequential config.
     if (cfg_.parallel.active()) {
         router_.configure(nodes);
-        cs_->setParallel(true);
         cs_->memory().setConcurrent(true);
-        fabric_->setRouter(&router_);
-        for (auto &b : bridges_)
-            b->setRouter(&router_);
     }
 }
 

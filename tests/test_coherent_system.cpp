@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <latch>
+#include <sstream>
+#include <thread>
+
 #include "cache/coherent_system.hpp"
 #include "sim/parallel.hpp"
 #include "sim/random.hpp"
+#include "snap/state_io.hpp"
 
 namespace smappic::cache
 {
@@ -46,7 +52,6 @@ TEST(CoherentSystem, ConfinedMissYieldsBeforeChangingAnything)
 {
     Geometry geo = smallGeo(2, 2);
     CoherentSystem cs(geo, TimingParams{}, HomingPolicy::kAddressNode);
-    cs.setParallel(true);
     Addr local = geo.dramBase + 0x1000;  // Homed on node 0.
     Addr shared = geo.dramBase + 0x2000; // Homed on node 0, cached by node 1.
     Addr remote = geo.dramBase + geo.memPerNode + 0x1000; // Node 1.
@@ -77,6 +82,138 @@ TEST(CoherentSystem, ConfinedMissYieldsBeforeChangingAnything)
     EXPECT_NO_THROW(cs.access(1, shared, AccessType::kStore, 8, 300));
     EXPECT_EQ(cs.inspectLine(shared).owner, 1);
     EXPECT_TRUE(cs.checkDirectory());
+}
+
+/** Runs node @p n's share of the confined-race workload the way the
+ *  phased engine runs a node phase: confined, acting for @p n, with its
+ *  stats redirected into @p shard. @return False if anything yielded. */
+bool
+runConfinedNode(CoherentSystem &cs, NodeId n, const std::vector<Addr> &lines,
+                sim::StatRegistry &shard)
+{
+    sim::ActingNodeScope acting(n);
+    sim::ConfinedScope confined;
+    sim::StatRegistry::Redirect redirect(&cs.stats(), &shard);
+    std::uint32_t tiles = cs.geometry().tilesPerNode;
+    sim::Xoroshiro rng(0xc0ffee + n);
+    Cycles now = 0;
+    try {
+        for (int i = 0; i < 20000; ++i) {
+            auto gid = static_cast<GlobalTileId>(n * tiles + rng.below(tiles));
+            Addr addr = lines[rng.below(lines.size())];
+            std::uint64_t pick = rng.below(100);
+            AccessType type = pick < 50   ? AccessType::kLoad
+                              : pick < 85 ? AccessType::kStore
+                                          : AccessType::kAtomic;
+            now += cs.access(gid, addr, type, 8, now).latency;
+        }
+    } catch (const sim::NodeYield &) {
+        return false;
+    }
+    return true;
+}
+
+/** Both nodes' confined phases racing on two host threads touch disjoint
+ *  state (directory shards, private arrays, LLC slices, servers): no
+ *  step yields, the directory stays precise, and the merged stats and
+ *  checkpoint bytes equal a serial node-0-then-node-1 run. Under TSan
+ *  this is the check that the coherence state needs no lock. */
+TEST(CoherentSystem, ConfinedPhasesRaceOnDisjointNodes)
+{
+    Geometry geo = smallGeo(2, 2);
+    // Small arrays, so the workload forces BPC and LLC evictions.
+    geo.l1dBytes = 1 << 10;
+    geo.l1dWays = 2;
+    geo.bpcBytes = 2 << 10;
+    geo.bpcWays = 4;
+    geo.llcSliceBytes = 4 << 10;
+    geo.llcWays = 4;
+
+    for (HomingPolicy homing :
+         {HomingPolicy::kAddressNode, HomingPolicy::kGlobalHash}) {
+        SCOPED_TRACE(static_cast<int>(homing));
+        // Per node: lines whose home and DRAM are both that node, so
+        // every miss (fills, recalls, victims) stays on the node.
+        auto nodeLines = [&](const CoherentSystem &cs, NodeId n) {
+            std::vector<Addr> lines;
+            Addr a = geo.dramBase + n * geo.memPerNode;
+            for (; lines.size() < 512; a += kCacheLineBytes) {
+                if (cs.homeOf(a).first == n)
+                    lines.push_back(a);
+            }
+            return lines;
+        };
+        struct Outcome
+        {
+            std::string stats;
+            std::string state;
+            bool directoryOk = false;
+            std::uint64_t llcEvictions = 0;
+            std::uint64_t bpcEvictions = 0;
+        };
+        auto finish = [](CoherentSystem &cs, sim::StatRegistry *shards) {
+            cs.stats().mergeFrom(shards[0]);
+            cs.stats().mergeFrom(shards[1]);
+            Outcome out;
+            std::ostringstream stats;
+            cs.stats().dump(stats);
+            out.stats = stats.str();
+            std::ostringstream state;
+            snap::Writer w(state);
+            w.begin(snap::Section::kCache);
+            cs.saveState(w);
+            w.end();
+            w.finish();
+            out.state = state.str();
+            out.directoryOk = cs.checkDirectory() && cs.checkInclusion();
+            out.llcEvictions = cs.stats().counterValue("cs.llc.evictions");
+            out.bpcEvictions =
+                cs.stats().counterValue("cs.bpc.writebacks") +
+                cs.stats().counterValue("cs.bpc.cleanEvicts");
+            return out;
+        };
+
+        CoherentSystem serial(geo, TimingParams{}, homing);
+        sim::StatRegistry serialShards[2];
+        for (NodeId n = 0; n < 2; ++n) {
+            EXPECT_TRUE(runConfinedNode(serial, n, nodeLines(serial, n),
+                                        serialShards[n]));
+        }
+        Outcome ref = finish(serial, serialShards);
+
+        CoherentSystem raced(geo, TimingParams{}, homing);
+        sim::StatRegistry racedShards[2];
+        bool stayed[2] = {false, false};
+        std::exception_ptr failure[2];
+        std::latch start(2);
+        auto worker = [&](NodeId n) {
+            std::vector<Addr> lines = nodeLines(raced, n);
+            start.arrive_and_wait();
+            try {
+                stayed[n] = runConfinedNode(raced, n, lines, racedShards[n]);
+            } catch (...) {
+                failure[n] = std::current_exception(); // A panic.
+            }
+        };
+        std::thread t0(worker, 0);
+        std::thread t1(worker, 1);
+        t0.join();
+        t1.join();
+        for (const std::exception_ptr &e : failure) {
+            if (e)
+                std::rethrow_exception(e);
+        }
+        EXPECT_TRUE(stayed[0]);
+        EXPECT_TRUE(stayed[1]);
+        Outcome got = finish(raced, racedShards);
+
+        EXPECT_TRUE(ref.directoryOk);
+        EXPECT_TRUE(got.directoryOk);
+        EXPECT_GT(ref.llcEvictions, 0u);
+        EXPECT_GT(ref.bpcEvictions, 0u);
+        EXPECT_EQ(got.stats, ref.stats);
+        EXPECT_TRUE(got.state == ref.state) << "checkpoint bytes differ";
+    }
 }
 
 TEST(CoherentSystem, SecondTileHitsLlc)

@@ -13,10 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "axi/axi.hpp"
-#include "pcie/pcie_fabric.hpp"
 #include "platform/prototype.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/log.hpp"
 #include "sim/parallel.hpp"
 #include "sim/stats.hpp"
@@ -159,67 +156,6 @@ TEST(ParallelMailboxRouter, PostOutsideNodePhasePanics)
     sim::MailboxRouter router;
     router.configure(2);
     EXPECT_THROW(router.post([] {}), PanicError);
-}
-
-/** AXI target recording write arrivals. */
-class CaptureTarget : public axi::Target
-{
-  public:
-    axi::WriteResp
-    write(const axi::WriteReq &req) override
-    {
-        writes += 1;
-        return {axi::Resp::kOkay, req.id};
-    }
-
-    axi::ReadResp
-    read(const axi::ReadReq &req) override
-    {
-        axi::ReadResp r;
-        r.id = req.id;
-        r.data.resize(req.bytes);
-        return r;
-    }
-
-    int writes = 0;
-};
-
-TEST(ParallelFabric, NodePhaseTrafficDefersToQuantumBoundary)
-{
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    pcie::PcieFabric fabric(eq, 63, 16.0, &stats);
-    sim::MailboxRouter router;
-    router.configure(2);
-    fabric.setRouter(&router);
-
-    CaptureTarget target;
-    fabric.addWindow(0x0, 0x1000, &target, 1, "peer");
-
-    axi::WriteReq req;
-    req.addr = 0x100;
-    req.data = {1, 2, 3, 4};
-    {
-        // Issued from inside a node phase: must not touch the fabric (or
-        // the event queue) until the barrier drains the mailbox.
-        sim::ActingNodeScope acting(0);
-        fabric.write(0, req, nullptr);
-        EXPECT_EQ(router.pending(), 1u);
-        EXPECT_TRUE(eq.empty());
-        EXPECT_EQ(fabric.transfers(), 0u);
-    }
-    // Barrier: the drain re-issues in serial context, then events fly.
-    EXPECT_EQ(router.drain(), 1u);
-    EXPECT_GT(eq.pending(), 0u);
-    eq.run();
-    EXPECT_EQ(target.writes, 1);
-    EXPECT_EQ(stats.counterValue("pcie.deferred"), 1u);
-
-    // Serial-context traffic is never deferred.
-    fabric.write(0, req, nullptr);
-    EXPECT_EQ(router.pending(), 0u);
-    eq.run();
-    EXPECT_EQ(target.writes, 2);
 }
 
 TEST(ParallelStats, ShardsRedirectAndMergeDeterministically)

@@ -163,7 +163,7 @@ checkStructure(const obs::TraceData &data)
     }
     for (std::size_t i = 0; i < data.events.size(); ++i) {
         const obs::TraceEvent &ev = data.events[i];
-        if (ev.kind >= obs::kNumEventKinds) {
+        if (!obs::isEventKind(ev.kind)) {
             std::fprintf(stderr, "check: event %zu has bad kind %u\n", i,
                          ev.kind);
             ++errors;
@@ -217,7 +217,7 @@ printBreakdown(const std::vector<obs::TraceEvent> &events)
     std::printf("%-12s %-12s %10s %10s %8s %8s\n", "component", "kind",
                 "count", "mean", "p50", "p99");
     for (std::uint32_t k = 0; k < obs::kNumEventKinds; ++k) {
-        if (counts[k] == 0)
+        if (counts[k] == 0 || !obs::isEventKind(k))
             continue;
         auto kind = static_cast<obs::EventKind>(k);
         std::printf("%-12s %-12s %10" PRIu64 " %10.1f %8.0f %8.0f\n",
