@@ -7,8 +7,8 @@
  * or off and across 1/2/4 phased workers.
  *
  * The speedup phase runs a Fig. 7-style compute kernel (node-local ALU
- * + load loop, no stores in the hot loop) on a sequential 1x1x2
- * prototype. Each variant runs the identical deterministic workload on
+ * + load loop, no stores in the hot loop) on a 1x1x2 prototype at 1
+ * worker. Each variant runs the identical deterministic workload on
  * its own prototype; the timer covers runCores() only. Min over kReps
  * runs, and kPasses passes each measure both variants back to back —
  * host noise can only inflate a pass's ratio, never deflate it, so the

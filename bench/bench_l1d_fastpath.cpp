@@ -8,7 +8,7 @@
  *
  * The speedup phase runs a memory-streaming kernel (read-modify-write
  * sweep over a few private cache lines — every access an L1D/BPC-M hit
- * in steady state) on a sequential 1x1x2 prototype. The decode cache is
+ * in steady state) on a 1x1x2 prototype at 1 worker. The decode cache is
  * on in both variants so the measured delta is the data path alone.
  * Each variant runs the identical deterministic workload on its own
  * prototype; the timer covers runCores() only. Min over kReps runs, and

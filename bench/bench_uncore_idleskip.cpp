@@ -3,13 +3,14 @@
  * Uncore idle-skip bench: host time spent crossing guest idle spans with
  * event-horizon skipping (PrototypeConfig::uncore.idleSkip) on versus
  * off, and the observability contract — stats dump, trace binary and
- * SMCK checkpoint must be byte-identical with the skip on or off, for
- * the sequential engine and across 1/2/4 phased workers.
+ * SMCK checkpoint must be byte-identical with the skip on or off, at
+ * the default config and across 1/2/4 workers.
  *
  * The timed workload is dominated by idle time. One hart sleeps in wfi
  * between CLINT timer interrupts, its handler re-arming mtimecmp each
- * wakeup. Off, every idle cycle is a setTime()/runUntil() pair; on, each
- * wait is one jump to the timer horizon. The perf gate requires >= 2x.
+ * wakeup. Off, every idle quantum is one barrier; on, each wait is one
+ * jump to the first barrier at or past the timer horizon. The perf gate
+ * requires >= 2x.
  *
  * Min over kReps runs, and kPasses passes each measure both variants
  * back to back — host noise can only inflate a pass's ratio, never
@@ -127,19 +128,15 @@ struct IdentityRun
     std::string snapshot;
 };
 
-/** The full observable surface of one run: stats dump, binary trace,
- *  and an SMCK checkpoint taken after the run. threads == 0 selects the
- *  sequential engine; otherwise the phased engine with that many
- *  workers. */
+/** The full observable surface of one run under @p parallel: stats
+ *  dump, binary trace, and an SMCK checkpoint taken after the run. */
 IdentityRun
-runIdentity(bool enabled, std::uint32_t threads, const fs::path &snapPath)
+runIdentity(bool enabled, sim::ParallelConfig parallel,
+            const fs::path &snapPath)
 {
     PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
     cfg.uncore.idleSkip = enabled;
-    if (threads > 0) {
-        cfg.parallel.threads = threads;
-        cfg.parallel.quantum = 63;
-    }
+    cfg.parallel = parallel;
     cfg.trace.enabled = true;
     Prototype proto(cfg);
     proto.loadSourceReplicated(kWfiSource);
@@ -183,27 +180,28 @@ main()
                     off.ms, on.ms, speedup);
     }
 
-    // --- Byte-identity: engine x knob x workers, two references. ---
+    // --- Byte-identity: knob x workers, two references. ---
     fs::path snapPath =
         fs::temp_directory_path() / "bench_uncore_idleskip_identity.smck";
     bool statsIdentical = true;
     bool traceIdentical = true;
     bool snapIdentical = true;
-    // Sequential engine: skip on vs off.
+    // Default config (1 worker, lookahead quantum): skip on vs off.
     {
-        IdentityRun ref = runIdentity(true, 0, snapPath);
-        IdentityRun got = runIdentity(false, 0, snapPath);
+        IdentityRun ref = runIdentity(true, {}, snapPath);
+        IdentityRun got = runIdentity(false, {}, snapPath);
         statsIdentical = statsIdentical && got.stats == ref.stats;
         traceIdentical = traceIdentical && got.trace == ref.trace;
         snapIdentical = snapIdentical && got.snapshot == ref.snapshot;
     }
-    // Phased engine: skip on/off x 1/2/4 workers against one reference.
-    IdentityRun ref = runIdentity(true, 1, snapPath);
+    // Quantum 63: skip on/off x 1/2/4 workers against one reference.
+    IdentityRun ref = runIdentity(true, {1, 63}, snapPath);
     for (bool enabled : {true, false}) {
         for (std::uint32_t threads : {1u, 2u, 4u}) {
             if (enabled && threads == 1)
                 continue; // The reference itself.
-            IdentityRun got = runIdentity(enabled, threads, snapPath);
+            IdentityRun got =
+                runIdentity(enabled, {threads, 63}, snapPath);
             statsIdentical = statsIdentical && got.stats == ref.stats;
             traceIdentical = traceIdentical && got.trace == ref.trace;
             snapIdentical = snapIdentical && got.snapshot == ref.snapshot;

@@ -322,17 +322,17 @@ CoherentSystem::llcEnsureResident(DirEntry &dir, Addr line, NodeId hn,
     auto victim = llc_[home_gid].insert(line, 0);
     if (victim) {
         // Inclusive LLC: recall every private copy of the victim line and
-        // write it back if dirty anywhere. The home slice holds only lines
+        // write it back if it is dirty in a BPC (owned) or in the LLC
+        // itself (a BPC wrote it back). The home slice holds only lines
         // homed on hn, so the victim's entry is in hn's shard, and it is
         // never @p line's: the insert above panics on a resident line.
         Addr vline = victim->line;
         DirShard &shard = directory_[hn];
         auto vit = shard.find(vline);
-        bool dirty = (victim->state & 1) != 0;
+        bool dirty = false;
         if (vit != shard.end()) {
             DirEntry &vdir = vit->second;
-            if (vdir.owner >= 0)
-                dirty = true;
+            dirty = vdir.owner >= 0 || vdir.dirty;
             std::uint64_t members =
                 vdir.sharers |
                 (vdir.owner >= 0 ? (1ULL << vdir.owner) : 0);

@@ -12,11 +12,7 @@ namespace smappic::check
 namespace
 {
 
-constexpr KindInfo kKinds[] = {
-    {"litmus", 63},
-    {"torture", 63},
-    {"fuzz", 256},
-};
+constexpr const char *kKindNames[] = {"litmus", "torture", "fuzz"};
 
 bool
 onFaultySubstrate(const platform::PrototypeConfig &p)
@@ -165,17 +161,17 @@ sweep(const Campaign &campaign, const Cfg &base, std::ostream &out,
         return detected ? 0 : 1;
     }
     if (failed == 0 && campaign.runs > 1)
-        out << kindInfo(kindOf(campaign.config)).name << " sweep: "
+        out << kindName(kindOf(campaign.config)) << " sweep: "
             << campaign.runs << " seeds passed\n";
     return failed == 0 ? 0 : 1;
 }
 
 } // namespace
 
-const KindInfo &
-kindInfo(CheckKind kind)
+const char *
+kindName(CheckKind kind)
 {
-    return kKinds[static_cast<std::size_t>(kind)];
+    return kKindNames[static_cast<std::size_t>(kind)];
 }
 
 void
@@ -194,7 +190,7 @@ reproCommand(const KindConfig &config)
     std::visit(
         [&](const auto &cfg) {
             const platform::PrototypeConfig &p = cfg.platform;
-            os << "check_run " << kindInfo(kindOf(config)).name << " --spec "
+            os << "check_run " << kindName(kindOf(config)) << " --spec "
                << p.name() << " --seed " << cfg.seed;
             for (const auto &f : sizeFields(cfg))
                 os << ' ' << f.flag << ' ' << cfg.*f.value;
@@ -206,9 +202,8 @@ reproCommand(const KindConfig &config)
                 if (cfg.defect != riscv::CoreTestMutation::kNone)
                     os << " --defect " << defectName(cfg.defect);
             }
-            if (p.parallel.active())
-                os << " --threads " << p.parallel.threads << " --quantum "
-                   << p.parallel.quantum;
+            os << " --threads " << p.parallel.threads << " --quantum "
+               << p.quantum();
             if (!p.core.decodeCache.enabled)
                 os << " --no-decode-cache";
             if (!p.core.dataFastPath)

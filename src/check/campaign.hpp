@@ -38,16 +38,8 @@ enum class CheckKind : std::uint8_t
 /** One kind's config; the active alternative selects the kind. */
 using KindConfig = std::variant<LitmusConfig, TortureConfig, FuzzConfig>;
 
-/** What check_run knows of a kind beyond its config's defaults. */
-struct KindInfo
-{
-    const char *name; ///< check_run's name for the kind.
-    /** Phased quantum when a run names only its worker count. */
-    Cycles quantum;
-};
-
-/** litmus and torture: quantum 63; fuzz: 256. */
-const KindInfo &kindInfo(CheckKind kind);
+/** check_run's name for a kind: "litmus", "torture" or "fuzz". */
+const char *kindName(CheckKind kind);
 
 inline CheckKind
 kindOf(const KindConfig &cfg)

@@ -13,11 +13,11 @@
  *
  * runFuzz() stands up a Prototype from the config's run knobs with the
  * lockstep checker enabled, runs the generated program under the
- * configured engine (sequential or phased at N workers, decode cache on
- * or off, optionally with a test-only defect armed) and returns the
- * divergence evidence. Shrinking a divergence (halving the instruction
- * count) and rendering its repro line are shared with the other seeded
- * harnesses (check/campaign.hpp).
+ * configured knobs (N workers, decode cache on or off, optionally with
+ * a test-only defect armed) and returns the divergence evidence.
+ * Shrinking a divergence (halving the instruction count) and rendering
+ * its repro line are shared with the other seeded harnesses
+ * (check/campaign.hpp).
  */
 
 #pragma once
@@ -60,8 +60,8 @@ struct FuzzConfig
 {
     FuzzConfig();
 
-    /** Run knobs; every hart runs. Default: 1x1x2, sequential engine.
-     *  runFuzz adds the lockstep checker. */
+    /** Run knobs; every hart runs. Default: 1x1x2, one worker at the
+     *  lookahead quantum. runFuzz adds the lockstep checker. */
     platform::PrototypeConfig platform;
     std::uint64_t seed = 1;
     std::uint32_t count = 256; ///< Instruction slots per hart.

@@ -64,9 +64,10 @@ struct LitmusConfig
 {
     LitmusConfig();
 
-    /** Run knobs; needs >= threads harts. Default: 2x1x2, sequential
-     *  engine, checker attached. An attached checker makes the L1D fast
-     *  path bail, so disable `platform.check` to genuinely exercise it. */
+    /** Run knobs; needs >= threads harts. Default: 2x1x2, one worker at
+     *  the lookahead quantum, checker attached. An attached checker
+     *  makes the L1D fast path bail, so disable `platform.check` to
+     *  genuinely exercise it. */
     platform::PrototypeConfig platform;
     /** Runs per test; each gets fresh caches and new start skews. */
     std::uint32_t iterations = 8;

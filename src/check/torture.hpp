@@ -14,7 +14,7 @@
  * predicts both exactly, for any engine, thread count or interleaving.
  *
  * A run executes the program on a real prototype built from the config's
- * run knobs (sequential or phased engine, optionally under a FaultPlan
+ * run knobs (worker count and quantum, optionally under a FaultPlan
  * and the reliable bridge) with the online coherence checker attached,
  * then cross-checks the image, the checksums, the exit codes and the
  * checker verdict. Shrinking a failure and rendering its repro line are
@@ -38,7 +38,8 @@ struct TortureConfig
 {
     TortureConfig();
 
-    /** Run knobs; all harts run. Default: 2x1x2, checker attached. */
+    /** Run knobs; all harts run. Default: 2x1x2, one worker at the
+     *  lookahead quantum, checker attached. */
     platform::PrototypeConfig platform;
     std::uint64_t seed = 1;
     std::uint32_t opsPerCore = 64;

@@ -65,10 +65,10 @@ class MainMemory
     const std::atomic<std::uint64_t> &pageWriteStamp(Addr addr);
 
     /**
-     * Enables (or disables) internal locking so node phases of the phased
-     * engine may load/store concurrently: reads share, writes (which may
-     * materialize pages and rehash the page table) are exclusive. Off by
-     * default — the sequential engine pays nothing.
+     * Enables (or disables) internal locking so node phases running on
+     * several workers may load/store concurrently: reads share, writes
+     * (which may materialize pages and rehash the page table) are
+     * exclusive. Off by default — a one-worker run pays nothing.
      */
     void setConcurrent(bool on) { concurrent_ = on; }
 

@@ -113,16 +113,13 @@ class ActingNodeScope
     NodeId prev_;
 };
 
-/** Parallel-engine knob carried by PrototypeConfig. */
+/** Run-engine shape carried by PrototypeConfig. */
 struct ParallelConfig
 {
-    /** Worker threads. 1 with quantum 0 keeps the sequential engine. */
+    /** Host workers running node phases; results do not depend on it. */
     std::uint32_t threads = 1;
-    /** Epoch length in cycles; 0 picks the PCIe one-way lookahead. Any
-     *  non-zero value (or threads > 1) selects the phased engine. */
+    /** Epoch length in cycles; 0 picks the PCIe one-way lookahead. */
     Cycles quantum = 0;
-
-    bool active() const { return threads > 1 || quantum > 0; }
 };
 
 /**

@@ -227,6 +227,38 @@ TEST(CoherentSystem, SecondTileHitsLlc)
     EXPECT_LT(r.latency, cs.timing().dramLatency + 100);
 }
 
+/** A line the BPC wrote back dirty holds data DRAM does not have, so
+ *  the LLC must write it back when it evicts the line, even though no
+ *  private copy owns it any more. */
+TEST(CoherentSystem, LlcEvictionWritesBackLineABpcWroteBackDirty)
+{
+    Geometry geo = smallGeo(1, 1);
+    geo.l1iBytes = geo.l1dBytes = geo.bpcBytes = 2 * kCacheLineBytes;
+    geo.l1iWays = geo.l1dWays = geo.bpcWays = 2; // One 2-way set.
+    geo.llcSliceBytes = 4 * kCacheLineBytes;
+    geo.llcWays = 4; // One 4-way set.
+    CoherentSystem cs(geo, TimingParams{}, HomingPolicy::kAddressNode);
+    auto line = [&](Addr i) { return geo.dramBase + i * kCacheLineBytes; };
+    auto count = [&](const char *name) {
+        return cs.stats().counterValue(name);
+    };
+
+    Cycles now = 0;
+    cs.access(0, line(0), AccessType::kStore, 8, now += 1000);
+    cs.access(0, line(1), AccessType::kLoad, 8, now += 1000);
+    // The BPC evicts line 0 and writes it back into the LLC.
+    cs.access(0, line(2), AccessType::kLoad, 8, now += 1000);
+    EXPECT_EQ(count("cs.bpc.writebacks"), 1u);
+    EXPECT_EQ(cs.inspectLine(line(0)).owner, -1);
+    cs.access(0, line(3), AccessType::kLoad, 8, now += 1000);
+    EXPECT_EQ(count("cs.llc.evictions"), 0u);
+    // The LLC evicts line 0, its least recently used line.
+    cs.access(0, line(4), AccessType::kLoad, 8, now += 1000);
+    EXPECT_EQ(count("cs.llc.evictions"), 1u);
+    EXPECT_FALSE(cs.inspectLine(line(0)).hasDirEntry);
+    EXPECT_EQ(count("cs.llc.writebacks"), 1u);
+}
+
 TEST(CoherentSystem, StoreInvalidatesSharers)
 {
     CoherentSystem cs(smallGeo(1, 4), TimingParams{},

@@ -3,11 +3,10 @@
  * Decode-cache tests: the DecodeCache container itself (fill / find /
  * flush / write-stamp invalidation), self-modifying-code correctness
  * through a hart's own store port and through a second hart over the
- * coherent path — under the sequential and phased engines at 1/2/4
- * workers — and the observability contract: stats, traces and SMCK
- * checkpoints are byte-identical with the cache on or off, checkpoints
- * interchange freely between on and off, and restore leaves no stale
- * decoded state behind.
+ * coherent path — at 1/2/4 workers — and the observability contract:
+ * stats, traces and SMCK checkpoints are byte-identical with the cache
+ * on or off, checkpoints interchange freely between on and off, and
+ * restore leaves no stale decoded state behind.
  */
 
 #include <gtest/gtest.h>
@@ -226,15 +225,13 @@ smcConfig(bool cacheOn, std::uint32_t threads)
     platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("1x1x2");
     cfg.core.decodeCache.enabled = cacheOn;
     cfg.parallel.threads = threads;
-    if (threads > 0)
-        cfg.parallel.quantum = 63; // threads == 0: sequential engine.
+    cfg.parallel.quantum = 63;
     return cfg;
 }
 
 TEST(DecodeCacheSmc, OwnStorePatchIsObserved)
 {
-    // threads == 0 is the sequential engine; 1/2/4 the phased engine.
-    for (std::uint32_t threads : {0u, 1u, 2u, 4u}) {
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
         platform::Prototype proto(smcConfig(true, threads));
         proto.loadSource(kOwnStoreSmc);
         proto.runCores({0}, 100'000);
@@ -249,7 +246,7 @@ TEST(DecodeCacheSmc, OwnStorePatchIsObserved)
 TEST(DecodeCacheSmc, OwnStoreStatsMatchCacheOff)
 {
     auto dumpFor = [](bool cacheOn) {
-        platform::Prototype proto(smcConfig(cacheOn, 0));
+        platform::Prototype proto(smcConfig(cacheOn, 1));
         proto.loadSource(kOwnStoreSmc);
         proto.runCores({0}, 100'000);
         std::ostringstream os;
@@ -275,7 +272,7 @@ TEST(DecodeCacheSmc, BypassHeavyLoopStatsMatchCacheOff)
 
     std::uint64_t bypasses = 0;
     auto dumpFor = [&](bool cacheOn) {
-        platform::Prototype proto(smcConfig(cacheOn, 0));
+        platform::Prototype proto(smcConfig(cacheOn, 1));
         proto.loadSource(src.str());
         proto.runCores({0}, 40'000);
         if (cacheOn)
@@ -291,7 +288,7 @@ TEST(DecodeCacheSmc, BypassHeavyLoopStatsMatchCacheOff)
 
 TEST(DecodeCacheSmc, CrossHartPatchIsObserved)
 {
-    for (std::uint32_t threads : {0u, 1u, 2u, 4u}) {
+    for (std::uint32_t threads : {1u, 2u, 4u}) {
         platform::Prototype proto(smcConfig(true, threads));
         proto.loadSource(kCrossHartSmc);
         proto.runCores({0, 1}, 200'000);

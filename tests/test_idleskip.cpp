@@ -1,11 +1,11 @@
 /**
  * @file
  * Uncore idle-skip tests: the event-horizon queries every skip decision
- * rests on, the sequential engine's parked-core bookkeeping, and the
+ * rests on, the run engine's parked-core bookkeeping, and the
  * replicate-or-change-nothing contract — stats, traces and SMCK
- * checkpoints byte-identical with uncore.idleSkip on or off, for the
- * sequential and phased engines at 1/2/4 workers, including runs where
- * the watchdog and periodic checkpoints are live at skipped barriers.
+ * checkpoints byte-identical with uncore.idleSkip on or off, at the
+ * default config and at 1/2/4 workers, including runs where the
+ * watchdog and periodic checkpoints are live at skipped barriers.
  */
 
 #include <gtest/gtest.h>
@@ -99,14 +99,15 @@ TEST(IdleSkipHorizon, WatchdogNextDeadline)
     EXPECT_EQ(wd.nextDeadline(), 220u); // Node 1 rebased at the fire.
 }
 
-// ------------------------------- sequential engine parked cores
+// --------------------------------------------------- parked cores
 
 /** Regression for the historical all-wfi predicate: hart 0 sleeps on a
  *  timer set far past hart 1's exit. The old bookkeeping classified the
  *  run as all-idle the moment hart 0 was the only live core, advanced
  *  device time by a token 1000 cycles and marked hart 0 done without
- *  ever delivering its interrupt; the parked flag plus the horizon
- *  fast-forward must instead wake it and let it exit. */
+ *  ever delivering its interrupt; the parked flag plus the barrier
+ *  jump must instead wake it and let it exit. Default config: one
+ *  worker at the lookahead quantum. */
 constexpr const char *kParkedRegressionSource = R"(
 _start:
     csrr t0, 0xf14
@@ -152,9 +153,6 @@ TEST_P(IdleSkipSequential, ParkedCoreWakesAfterSiblingExits)
     EXPECT_EQ(proto.core(1).exitCode(), 7);
     EXPECT_EQ(proto.core(0).exitCode(), 55)
         << "parked hart was never woken by its timer";
-    // (No mtime assertion: after the wake the engine re-syncs mtime to
-    // the max core clock, deliberately preserving the historical
-    // rewind behavior — identical with the skip on or off.)
 }
 
 INSTANTIATE_TEST_SUITE_P(OnAndOff, IdleSkipSequential,
@@ -164,8 +162,7 @@ INSTANTIATE_TEST_SUITE_P(OnAndOff, IdleSkipSequential,
 
 /** Timer-driven WFI workload exercising every skip site: hart 0 sleeps
  *  between CLINT timer interrupts (20 wakeups, 8000 cycles apart), all
- *  other harts exit immediately — so sequential runs sit in the
- *  waitForWake() horizon loop and phased runs cross long runs of idle
+ *  other harts exit immediately — so runs cross long runs of idle
  *  barriers. */
 constexpr const char *kWfiTimerSource = R"(
 _start:
@@ -215,18 +212,13 @@ struct Surface
     std::string snapshot;
 };
 
-/** The full observable surface of one run. threads == 0 selects the
- *  sequential engine; otherwise the phased engine with that many
- *  workers. */
+/** The full observable surface of one run under @p parallel. */
 Surface
-runSurface(bool idleSkip, std::uint32_t threads, const fs::path &dir)
+runSurface(bool idleSkip, sim::ParallelConfig parallel, const fs::path &dir)
 {
     platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
     cfg.uncore.idleSkip = idleSkip;
-    if (threads > 0) {
-        cfg.parallel.threads = threads;
-        cfg.parallel.quantum = 63;
-    }
+    cfg.parallel = parallel;
     cfg.trace.enabled = true;
     platform::Prototype proto(cfg);
     proto.loadSourceReplicated(kWfiTimerSource);
@@ -248,9 +240,10 @@ runSurface(bool idleSkip, std::uint32_t threads, const fs::path &dir)
 
 TEST(IdleSkipIdentity, SequentialStatsTraceAndCheckpointMatchOff)
 {
+    // The default config: one worker at the lookahead quantum.
     fs::path dir = scratchDir("seq");
-    Surface on = runSurface(true, 0, dir);
-    Surface off = runSurface(false, 0, dir);
+    Surface on = runSurface(true, {}, dir);
+    Surface off = runSurface(false, {}, dir);
     EXPECT_FALSE(on.stats.empty());
     EXPECT_EQ(on.stats, off.stats);
     EXPECT_EQ(on.trace == off.trace, true);
@@ -260,7 +253,7 @@ TEST(IdleSkipIdentity, SequentialStatsTraceAndCheckpointMatchOff)
 TEST(IdleSkipIdentity, PhasedStatsTraceAndCheckpointMatchOffAcrossWorkers)
 {
     fs::path dir = scratchDir("phased");
-    Surface ref = runSurface(true, 1, dir);
+    Surface ref = runSurface(true, {1, 63}, dir);
     EXPECT_FALSE(ref.stats.empty());
     EXPECT_FALSE(ref.trace.empty());
     EXPECT_FALSE(ref.snapshot.empty());
@@ -268,7 +261,7 @@ TEST(IdleSkipIdentity, PhasedStatsTraceAndCheckpointMatchOffAcrossWorkers)
         for (std::uint32_t threads : {1u, 2u, 4u}) {
             if (idleSkip && threads == 1)
                 continue; // The reference itself.
-            Surface got = runSurface(idleSkip, threads, dir);
+            Surface got = runSurface(idleSkip, {threads, 63}, dir);
             EXPECT_EQ(got.stats, ref.stats)
                 << "idleSkip " << idleSkip << ", " << threads << " workers";
             EXPECT_EQ(got.trace == ref.trace, true)

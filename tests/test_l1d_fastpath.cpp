@@ -3,8 +3,8 @@
  * L1D fast-path tests: side-effect parity of MemPort::loadFastHit /
  * storeFastHit against the full CoherentSystem::access() walk. The
  * fast path must be observably invisible — stats, traces and SMCK
- * checkpoints byte-identical with the fast path on or off, across the
- * sequential and phased engines at 1/2/4 workers — including the
+ * checkpoints byte-identical with the fast path on or off at 1/2/4
+ * workers — including the
  * bail-heavy regimes where the audit looked for double side effects:
  * shared-line bounces (the fast path attempts and bails mid-run),
  * armed test mutations and attached coherence observers (the fast path
@@ -114,8 +114,7 @@ mixConfig(bool fastPath, std::uint32_t threads)
     platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("2x1x2");
     cfg.core.dataFastPath = fastPath;
     cfg.parallel.threads = threads;
-    if (threads > 0)
-        cfg.parallel.quantum = 63; // threads == 0: sequential engine.
+    cfg.parallel.quantum = 63;
     return cfg;
 }
 
@@ -130,10 +129,6 @@ Surface
 runSurface(bool fastPath, std::uint32_t threads, const fs::path &dir)
 {
     platform::PrototypeConfig cfg = mixConfig(fastPath, threads);
-    if (threads == 0) {
-        cfg.parallel.threads = 1;
-        cfg.parallel.quantum = 63;
-    }
     cfg.trace.enabled = true;
     platform::Prototype proto(cfg);
     proto.loadSourceReplicated(kShareMixSource);
@@ -226,7 +221,7 @@ TEST(L1dFastPathIdentity, CheckpointsInterchangeBetweenOnAndOff)
 TEST(L1dFastPathBail, SharedLineBounceStatsMatchOff)
 {
     auto dumpFor = [](bool fastPath) {
-        platform::Prototype proto(mixConfig(fastPath, 0));
+        platform::Prototype proto(mixConfig(fastPath, 1));
         proto.loadSourceReplicated(kShareMixSource);
         proto.runCores({0, 1, 2, 3}, 40'000);
         std::ostringstream os;
@@ -242,7 +237,7 @@ TEST(L1dFastPathBail, SharedLineBounceStatsMatchOff)
 TEST(L1dFastPathBail, ArmedMutationStatsMatchOff)
 {
     auto runFor = [](bool fastPath) {
-        platform::Prototype proto(mixConfig(fastPath, 0));
+        platform::Prototype proto(mixConfig(fastPath, 1));
         riscv::Program prog = proto.loadSourceReplicated(kShareMixSource);
         Addr shared = 0;
         for (const auto &sym : prog.symbols) {
@@ -270,7 +265,7 @@ TEST(L1dFastPathBail, ArmedMutationStatsMatchOff)
 TEST(L1dFastPathBail, AttachedCheckerStatsMatchOff)
 {
     auto runFor = [](bool fastPath) {
-        platform::PrototypeConfig cfg = mixConfig(fastPath, 0);
+        platform::PrototypeConfig cfg = mixConfig(fastPath, 1);
         cfg.check.enabled = true;
         platform::Prototype proto(cfg);
         proto.loadSourceReplicated(kShareMixSource);

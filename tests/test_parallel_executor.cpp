@@ -299,8 +299,8 @@ TEST(ParallelPlatform, PingPongBitIdenticalAcrossThreadCounts)
 {
     // The acceptance contract: identical seeds and quantum, threads in
     // {1, 2, 4} — final stats, exit codes and guest memory must match bit
-    // for bit. threads=1 with a non-zero quantum is the phased engine run
-    // serially (the reference schedule).
+    // for bit. threads=1 runs the reference schedule on the calling
+    // thread.
     PingPongRun ref = runPingPong(1, 63);
     EXPECT_EQ(ref.exits, (std::vector<std::int64_t>{5, 24, 7, 24}));
     EXPECT_EQ(ref.flagNode1, 1u);
@@ -364,39 +364,29 @@ TEST(ParallelPlatform, CrossNodeSharingBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(run(threads), ref) << threads << " threads";
 }
 
-TEST(ParallelPlatform, PhasedMatchesSequentialFunctionalResults)
+TEST(ParallelPlatform, OneNodePhasesRunUnconfined)
 {
-    // The phased engine must agree with the sequential engine on
-    // architectural outcomes (exit codes, guest memory); timing stats may
-    // differ, since cross-node delivery is quantized to barriers.
-    PrototypeConfig seq_cfg = PrototypeConfig::parse("2x1x2");
-    ASSERT_FALSE(seq_cfg.parallel.active());
-    Prototype seq(seq_cfg);
-    riscv::Program prog = seq.loadSourceReplicated(kPingPongSource);
-    seq.runCores({0, 1, 2, 3}, 500000);
-
-    PingPongRun phased = runPingPong(2, 63);
-    for (GlobalTileId g = 0; g < 4; ++g) {
-        EXPECT_TRUE(seq.core(g).exited());
-        EXPECT_EQ(seq.core(g).exitCode(), phased.exits[g]) << "hart " << g;
-    }
-    std::uint64_t stride = seq_cfg.memPerNode;
-    EXPECT_EQ(seq.memory().load(prog.symbol("flag") + stride, 8),
-              phased.flagNode1);
-    EXPECT_EQ(seq.memory().load(prog.symbol("sum"), 8), phased.sumNode0);
-    // The sequential engine delivers cross-node irqs inline.
-    EXPECT_EQ(seq.stats().counterValue("platform.irqDeferred"), 0u);
-}
-
-TEST(ParallelPlatform, DefaultConfigKeepsSequentialEngine)
-{
-    PrototypeConfig cfg = PrototypeConfig::parse("1x1x2");
-    EXPECT_FALSE(cfg.parallel.active());
-    cfg.parallel.quantum = 63;
-    EXPECT_TRUE(cfg.parallel.active());
-    cfg.parallel.quantum = 0;
-    cfg.parallel.threads = 4;
-    EXPECT_TRUE(cfg.parallel.active());
+    // A one-node prototype has no other node to be confined from, so its
+    // shared-device steps (here each hart's console-write ecall) run in
+    // the phase instead of yielding to the barrier.
+    Prototype proto(PrototypeConfig::parse("1x1x2"));
+    proto.loadSource(R"(
+.data
+msg: .asciiz "hi\n"
+.text
+_start:
+    li a0, 1
+    la a1, msg
+    li a2, 3
+    li a7, 64
+    ecall
+    li a0, 0
+    li a7, 93
+    ecall
+)");
+    proto.runCores({0, 1}, 10'000);
+    EXPECT_EQ(proto.console(0).captured(), "hi\nhi\n");
+    EXPECT_EQ(proto.stats().counterValue("platform.phaseYields"), 0u);
 }
 
 } // namespace

@@ -51,6 +51,40 @@ _start:
     EXPECT_GT(proto.stats().counterValue("cs.bpc.misses"), 0u);
 }
 
+TEST(Prototype, RunCoreReportsEbreak)
+{
+    Prototype proto(PrototypeConfig::parse("1x1x2"));
+    proto.loadSource(R"(
+_start:
+    li a0, 3
+    ebreak
+    li a7, 93
+    ecall
+)");
+    EXPECT_EQ(proto.runCore(0), riscv::HaltReason::kEbreak);
+    EXPECT_FALSE(proto.core(0).exited());
+}
+
+TEST(Prototype, RunCoreStopsAtItsBudgetAndResumes)
+{
+    Prototype proto(PrototypeConfig::parse("1x1x2"));
+    proto.loadSource(R"(
+_start:
+    li t0, 1000
+loop:
+    addi t0, t0, -1
+    bnez t0, loop
+    li a0, 9
+    li a7, 93
+    ecall
+)");
+    EXPECT_EQ(proto.runCore(0, 500), riscv::HaltReason::kInstrBudget);
+    EXPECT_FALSE(proto.core(0).exited());
+    EXPECT_EQ(proto.core(0).instret(), 500u);
+    EXPECT_EQ(proto.runCore(0), riscv::HaltReason::kExited);
+    EXPECT_EQ(proto.core(0).exitCode(), 9);
+}
+
 TEST(Prototype, ConsoleOutputThroughUart)
 {
     Prototype proto(PrototypeConfig::parse("1x1x2"));

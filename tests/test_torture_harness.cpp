@@ -2,8 +2,9 @@
  * @file
  * Tests for the multi-core memory torture harness (src/check/torture):
  * the generator is a pure function of its seed, clean runs match the
- * flat golden model under the sequential engine, the phased engine and
- * a faulty-substrate + reliable-bridge configuration, and an armed
+ * flat golden model at the default config (one worker), at 1/2/4
+ * workers and on a faulty-substrate + reliable-bridge configuration,
+ * and an armed
  * directory mutation produces a failing report that minimizes and
  * carries a deterministically reproducing seed.
  */

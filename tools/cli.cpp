@@ -30,8 +30,6 @@ parseFlags(const std::vector<std::string> &args, check::Campaign &c,
 {
     const check::CheckKind kind = check::kindOf(c.config);
     platform::PrototypeConfig &p = cfg.platform;
-    bool threads = false;
-    bool quantum = false;
     bool faulty = false;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string &a = args[i];
@@ -56,10 +54,8 @@ parseFlags(const std::vector<std::string> &args, check::Campaign &c,
             c.runs = num(1, UINT64_MAX);
         } else if (a == "--threads") {
             p.parallel.threads = static_cast<std::uint32_t>(num(1, 64));
-            threads = true;
         } else if (a == "--quantum") {
             p.parallel.quantum = num(1, UINT64_MAX);
-            quantum = true;
         } else if (a == "--no-decode-cache") {
             p.core.decodeCache.enabled = false;
         } else if (a == "--no-data-fastpath") {
@@ -85,11 +81,9 @@ parseFlags(const std::vector<std::string> &args, check::Campaign &c,
                 throw UsageError("unknown option " + a + " for fuzz");
         } else {
             throw UsageError("unknown option " + a + " for " +
-                             check::kindInfo(kind).name);
+                             check::kindName(kind));
         }
     }
-    if (threads && !quantum)
-        p.parallel.quantum = check::kindInfo(kind).quantum;
     if (faulty)
         check::makeFaulty(p, cfg.seed);
     if constexpr (std::is_same_v<Cfg, check::FuzzConfig>) {
@@ -142,7 +136,7 @@ parseCampaign(const std::vector<std::string> &args)
     for (const check::KindConfig &kind :
          {check::KindConfig(check::LitmusConfig{}), {check::TortureConfig{}},
           {check::FuzzConfig{}}}) {
-        if (!args.empty() && args[0] == check::kindInfo(kindOf(kind)).name) {
+        if (!args.empty() && args[0] == check::kindName(kindOf(kind))) {
             check::Campaign c{kind};
             std::visit([&](auto &cfg) { parseFlags(args, c, cfg); },
                        c.config);
