@@ -246,6 +246,8 @@ class RvCore
     Cycles cycles() const { return cycles_; }
     std::uint64_t instret() const { return instret_; }
     bool exited() const { return exited_; }
+    /** The last step() stopped at an ebreak (run() returned kEbreak). */
+    bool atEbreak() const { return lastStall_ == Stall::kEbreak; }
     std::int64_t exitCode() const { return exitCode_; }
     std::uint32_t hartId() const { return cfg_.hartId; }
     unsigned privilege() const { return priv_; }

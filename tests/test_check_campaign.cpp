@@ -30,7 +30,7 @@ expectSamePlatform(const platform::PrototypeConfig &a,
 {
     EXPECT_EQ(a.name(), b.name());
     EXPECT_EQ(a.parallel.threads, b.parallel.threads);
-    EXPECT_EQ(a.parallel.quantum, b.parallel.quantum);
+    EXPECT_EQ(a.quantum(), b.quantum());
     EXPECT_EQ(a.check.enabled, b.check.enabled);
     EXPECT_EQ(a.core.decodeCache.enabled, b.core.decodeCache.enabled);
     EXPECT_EQ(a.core.dataFastPath, b.core.dataFastPath);
@@ -155,7 +155,7 @@ TEST(CheckCampaign, TortureBuildsThePrototypeItsFlagsAsk)
          }},
         {{"--threads", "2"},
          [](const Built &b) {
-             return b.parallel.threads == 2 && b.parallel.quantum == 63;
+             return b.parallel.threads == 2 && b.quantum() == 63;
          }},
     };
     for (const Case &c : cases) {

@@ -310,6 +310,55 @@ TEST(PlatformSnap, RestoreAndResumeMatchesUninterruptedRun)
               a.stats().counter("snap.checkpoints").value());
 }
 
+/** A run resumed from a checkpoint taken after some of its cores
+ *  finished reports why each of them stopped, as the uninterrupted run
+ *  does: hart 0 exits and hart 1 hits an ebreak early, harts 2 and 3
+ *  spin past the last checkpoint and exit. */
+TEST(PlatformSnap, ResumedRunReportsHaltReasonsOfCoresDoneBeforeIt)
+{
+    const std::string source = R"(
+_start:
+    csrr t0, 0xf14
+    beqz t0, quit
+    li t1, 1
+    beq t0, t1, brk
+    li t2, 5000
+spin:
+    addi t2, t2, -1
+    bnez t2, spin
+    li a0, 7
+    li a7, 93
+    ecall
+quit:
+    li a0, 5
+    li a7, 93
+    ecall
+brk:
+    ebreak
+)";
+    const std::vector<GlobalTileId> all = {0, 1, 2, 3};
+    const std::vector<riscv::HaltReason> expected = {
+        riscv::HaltReason::kExited, riscv::HaltReason::kEbreak,
+        riscv::HaltReason::kExited, riscv::HaltReason::kExited};
+
+    fs::path dir_a = scratchDir("halts_a");
+    platform::Prototype a(tortureProtoConfig(1, 2000, dir_a.string()));
+    a.loadSource(source);
+    EXPECT_EQ(a.runCores(all), expected);
+    auto mids = snap::listCheckpoints(dir_a.string());
+    ASSERT_GE(mids.size(), 2u);
+
+    fs::path dir_b = scratchDir("halts_b");
+    platform::Prototype b(tortureProtoConfig(1, 2000, dir_b.string()));
+    b.loadSource(source);
+    b.restore(mids.back());
+    EXPECT_TRUE(b.core(0).exited());
+    EXPECT_FALSE(b.core(2).exited());
+    EXPECT_EQ(b.runCores(all), expected);
+    EXPECT_EQ(b.core(0).exitCode(), 5);
+    EXPECT_EQ(b.core(2).exitCode(), 7);
+}
+
 TEST(PlatformSnap, RestoreRejectsMismatchedConfig)
 {
     fs::path dir = scratchDir("mismatch");
