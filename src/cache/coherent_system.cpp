@@ -326,23 +326,22 @@ CoherentSystem::llcEnsureResident(DirEntry &dir, Addr line, NodeId hn,
         // itself (a BPC wrote it back). The home slice holds only lines
         // homed on hn, so the victim's entry is in hn's shard, and it is
         // never @p line's: the insert above panics on a resident line.
+        // Erasing it leaves @p dir where it is (LineTable::erase).
         Addr vline = victim->line;
         DirShard &shard = directory_[hn];
-        auto vit = shard.find(vline);
         bool dirty = false;
-        if (vit != shard.end()) {
-            DirEntry &vdir = vit->second;
-            dirty = vdir.owner >= 0 || vdir.dirty;
+        if (DirEntry *vdir = shard.find(vline)) {
+            dirty = vdir->owner >= 0 || vdir->dirty;
             std::uint64_t members =
-                vdir.sharers |
-                (vdir.owner >= 0 ? (1ULL << vdir.owner) : 0);
+                vdir->sharers |
+                (vdir->owner >= 0 ? (1ULL << vdir->owner) : 0);
             while (members) {
                 auto g =
                     static_cast<GlobalTileId>(__builtin_ctzll(members));
                 members &= members - 1;
-                dropPrivate(vline, g, &vdir);
+                dropPrivate(vline, g, vdir);
             }
-            shard.erase(vit);
+            shard.erase(vline);
         }
         if (dirty) {
             NodeId vnode = addrNode(vline);
@@ -371,9 +370,8 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
         l1i_[gid].invalidate(vline);
 
         auto [vhn, vht] = homeOf(vline);
-        DirShard &vshard = directory_[vhn];
-        auto vit = vshard.find(vline);
-        if (vit == vshard.end()) {
+        DirEntry *vdirp = directory_[vhn].find(vline);
+        if (vdirp == nullptr) {
             // Only reachable when a test mutation orphaned this copy
             // (the directory dropped it without the tile noticing and
             // the entry was since reclaimed); silently complete the
@@ -382,7 +380,7 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
                     "BPC line without a directory entry");
             maybeClearStale(vline, gid);
         } else {
-            DirEntry &vdir = vit->second;
+            DirEntry &vdir = *vdirp;
             if (victim->state == kModified) {
                 // Dirty victim: write back to the home LLC slice. The
                 // writeback is buffered, so it consumes path bandwidth
@@ -605,9 +603,10 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     auto grant = llcServer_[home_gid].offer(t, timing_.llcOccupancy);
     t = grant.start + timing_.llcLatency;
 
-    // The one directory lookup of this miss. Only the LLC victim's entry
-    // is ever erased below, and it is never this line's.
-    DirEntry &dir = directory_[hn][line];
+    // The one directory lookup of this miss, and its only insert. Only
+    // the LLC victim's entry is ever erased below, never this line's,
+    // and erasing it moves no other entry.
+    DirEntry &dir = directory_[hn].insert(line);
     bool from_dram = false;
 
     switch (type) {
@@ -766,12 +765,11 @@ CoherentSystem::missStaysOnNode(GlobalTileId gid, Addr line, AccessType type)
     bool in_llc = false;
     bool owner_forward = false;
     const DirShard &shard = directory_[hn];
-    auto it = shard.find(line);
-    if (it != shard.end()) {
-        if (!members_on_node(it->second))
+    if (const DirEntry *d = shard.find(line)) {
+        if (!members_on_node(*d))
             return false;
-        in_llc = it->second.inLlc;
-        owner_forward = is_load && it->second.owner >= 0;
+        in_llc = d->inLlc;
+        owner_forward = is_load && d->owner >= 0;
     }
 
     // An LLC fill reads the line's DRAM and may evict a victim, whose
@@ -782,8 +780,8 @@ CoherentSystem::missStaysOnNode(GlobalTileId gid, Addr line, AccessType type)
         if (auto v = llc_[gidOf(hn, ht)].victimFor(line)) {
             if (addrNode(v->line) != node)
                 return false;
-            auto vit = shard.find(v->line);
-            if (vit != shard.end() && !members_on_node(vit->second))
+            const DirEntry *vd = shard.find(v->line);
+            if (vd != nullptr && !members_on_node(*vd))
                 return false;
         }
     }
@@ -808,9 +806,7 @@ CoherentSystem::flushPrivate(GlobalTileId gid)
     bpc_[gid].forEachLine(
         [&](Addr line, std::uint32_t) { lines.push_back(line); });
     for (Addr line : lines) {
-        DirShard &shard = shardOf(line);
-        auto it = shard.find(line);
-        DirEntry *dir = it != shard.end() ? &it->second : nullptr;
+        DirEntry *dir = shardOf(line).find(line);
         if (dir && dir->owner == static_cast<std::int32_t>(gid))
             dir->dirty = true; // Writeback lands in the home LLC.
         dropPrivate(line, gid, dir);
@@ -837,13 +833,12 @@ CoherentSystem::inspectLine(Addr addr) const
     auto [hn, ht] = homeOf(line);
     v.homeNode = hn;
     v.homeTile = ht;
-    auto it = directory_[hn].find(line);
-    if (it != directory_[hn].end()) {
+    if (const DirEntry *d = directory_[hn].find(line)) {
         v.hasDirEntry = true;
-        v.sharers = it->second.sharers;
-        v.owner = it->second.owner;
-        v.inLlc = it->second.inLlc;
-        v.dirty = it->second.dirty;
+        v.sharers = d->sharers;
+        v.owner = d->owner;
+        v.inLlc = d->inLlc;
+        v.dirty = d->dirty;
     }
     v.homeSliceHolds = llc_[gidOf(hn, ht)].probe(line);
     v.tiles.resize(geo_.totalTiles());
@@ -877,8 +872,8 @@ CoherentSystem::forEachKnownLine(const std::function<void(Addr)> &fn) const
 {
     std::set<Addr> lines;
     for (const auto &shard : directory_) {
-        for (const auto &[line, dir] : shard)
-            lines.insert(line);
+        shard.forEach(
+            [&](Addr line, const DirEntry &) { lines.insert(line); });
     }
     auto collect = [&](const CacheArray &arr) {
         arr.forEachLine(
@@ -918,15 +913,16 @@ CoherentSystem::checkDirectory() const
 {
     // Expected membership per tile from the directory.
     std::vector<std::set<Addr>> expected(geo_.totalTiles());
+    bool ok = true;
     for (NodeId n = 0; n < geo_.nodes; ++n) {
-        for (const auto &[line, dir] : directory_[n]) {
+        directory_[n].forEach([&](Addr line, const DirEntry &dir) {
             // Each entry lives in its home node's shard.
             if (homeOf(line).first != n)
-                return false;
+                ok = false;
             if (dir.owner >= 0) {
                 // An owned line must have no other sharers.
                 if ((dir.sharers & ~(1ULL << dir.owner)) != 0)
-                    return false;
+                    ok = false;
                 expected[static_cast<std::size_t>(dir.owner)].insert(line);
             }
             std::uint64_t sharers = dir.sharers;
@@ -940,9 +936,11 @@ CoherentSystem::checkDirectory() const
             }
             // Private copies require LLC residency (inclusive hierarchy).
             if ((dir.sharers != 0 || dir.owner >= 0) && !dir.inLlc)
-                return false;
-        }
+                ok = false;
+        });
     }
+    if (!ok)
+        return false;
 
     for (std::uint32_t g = 0; g < geo_.totalTiles(); ++g) {
         std::set<Addr> actual;
@@ -964,8 +962,9 @@ CoherentSystem::saveState(snap::Writer &w) const
     // free of container order and of the sharding.
     std::vector<std::pair<Addr, const DirEntry *>> entries;
     for (const auto &shard : directory_) {
-        for (const auto &[line, entry] : shard)
+        shard.forEach([&](Addr line, const DirEntry &entry) {
             entries.emplace_back(line, &entry);
+        });
     }
     std::sort(entries.begin(), entries.end());
     w.u64(entries.size());
@@ -1008,7 +1007,7 @@ CoherentSystem::restoreState(snap::Reader &r)
     std::uint64_t dir_count = r.u64();
     for (std::uint64_t i = 0; i < dir_count; ++i) {
         Addr line = r.u64();
-        DirEntry &d = shardOf(line)[line];
+        DirEntry &d = shardOf(line).insert(line);
         d.sharers = r.u64();
         d.owner = static_cast<std::int32_t>(r.u32());
         d.inLlc = r.boolean();

@@ -22,10 +22,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_array.hpp"
+#include "cache/line_table.hpp"
 #include "mem/main_memory.hpp"
 #include "noc/topology.hpp"
 #include "sim/server.hpp"
@@ -552,7 +552,9 @@ class CoherentSystem
                               Addr addr, AccessType type, std::uint32_t bytes,
                               Cycles now);
 
-    using DirShard = std::unordered_map<Addr, DirEntry>;
+    /** One directory shard. Erasing an entry moves no other entry, so
+     *  the DirEntry a miss holds survives its LLC victim's erase. */
+    using DirShard = LineTable<DirEntry>;
 
     /** The directory shard that tracks @p line: its home node's. */
     DirShard &shardOf(Addr line) { return directory_[homeOf(line).first]; }
@@ -565,8 +567,7 @@ class CoherentSystem
     mem::MainMemory memory_;
     /** The MESI directory, one shard per home node: shard N holds the
      *  lines homed on node N, so a confined phase reads and writes only
-     *  its own node's shard. Node-based maps keep entry references valid
-     *  across inserts and across erasing other entries. */
+     *  its own node's shard. */
     std::vector<DirShard> directory_;
 
     // Per-global-tile structures.

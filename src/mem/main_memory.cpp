@@ -23,13 +23,21 @@ MainMemory::touchPage(std::uint64_t idx)
         it->second.bytes.assign(kPageBytes, 0);
     }
     PageEntry &page = it->second;
-    page.epoch = epoch_;
     if (page.stamp == nullptr)
         page.stamp = &stampSlot(idx);
-    // Bumped before the caller mutates the bytes: a CodeRef sampled
-    // around the write can only go conservatively stale, never miss it.
-    page.stamp->fetch_add(1, std::memory_order_release);
+    markWritten(page);
     return page;
+}
+
+MainMemory::PageEntry *
+MainMemory::directPage(Addr addr)
+{
+    if (concurrent_)
+        return nullptr;
+    auto it = pages_.find(addr / kPageBytes);
+    if (it == pages_.end() || it->second.stamp == nullptr)
+        return nullptr;
+    return &it->second;
 }
 
 std::atomic<std::uint64_t> &
@@ -61,6 +69,7 @@ MainMemory::clear()
 {
     auto lock = writeLock();
     pages_.clear();
+    ++generation_;
     bumpAllStamps();
 }
 
@@ -164,6 +173,7 @@ MainMemory::restoreState(snap::Reader &r)
 {
     auto lock = writeLock();
     pages_.clear();
+    ++generation_;
     // Every memoized reader (decode caches) must drop bytes read from
     // the pre-restore image, including from pages absent afterwards.
     bumpAllStamps();

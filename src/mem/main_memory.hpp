@@ -68,9 +68,65 @@ class MainMemory
      * Enables (or disables) internal locking so node phases running on
      * several workers may load/store concurrently: reads share, writes
      * (which may materialize pages and rehash the page table) are
-     * exclusive. Off by default — a one-worker run pays nothing.
+     * exclusive. Off by default — a one-worker run pays nothing. Either
+     * way it ends every direct page access (see generation()).
      */
-    void setConcurrent(bool on) { concurrent_ = on; }
+    void
+    setConcurrent(bool on)
+    {
+        concurrent_ = on;
+        ++generation_;
+    }
+
+    /** One materialized page. Callers outside this class hold it only
+     *  as a directPage() handle for loadFrom()/storeTo(). */
+    struct PageEntry
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t epoch = 0; ///< Epoch of the last write.
+        /** Cached pointer into stamps_ (lazily wired by touchPage). */
+        std::atomic<std::uint64_t> *stamp = nullptr;
+    };
+
+    /**
+     * Direct access for translation caches (os::Worker): @p addr's page,
+     * or null when the memory is concurrent, the page is not
+     * materialized, or its write stamp is not wired yet (the next
+     * store() wires it). The handle skips the page-map lookup and stays
+     * valid while generation() is unchanged.
+     */
+    PageEntry *directPage(Addr addr);
+
+    /** Bumped by clear(), restoreState() and setConcurrent(): each ends
+     *  every directPage() handle taken before it. */
+    std::uint64_t generation() const { return generation_; }
+
+    /** load() of @p bytes (1..8) at offset @p off of a directPage(); the
+     *  access must not cross the page. The common 8-byte width copies a
+     *  constant size, which compiles to one move instead of a call. */
+    static std::uint64_t
+    loadFrom(const PageEntry &page, std::uint64_t off, std::uint32_t bytes)
+    {
+        std::uint64_t value = 0;
+        if (bytes == 8)
+            std::memcpy(&value, page.bytes.data() + off, 8);
+        else
+            std::memcpy(&value, page.bytes.data() + off, bytes);
+        return value;
+    }
+
+    /** store() of @p bytes (1..8) at offset @p off of a directPage(),
+     *  with the same epoch and write-stamp bookkeeping. */
+    void
+    storeTo(PageEntry &page, std::uint64_t off, std::uint32_t bytes,
+            std::uint64_t value)
+    {
+        markWritten(page);
+        if (bytes == 8)
+            std::memcpy(page.bytes.data() + off, &value, 8);
+        else
+            std::memcpy(page.bytes.data() + off, &value, bytes);
+    }
 
     /**
      * Starts a new dirty-tracking epoch and returns its id. Pages written
@@ -93,16 +149,19 @@ class MainMemory
     void restoreState(snap::Reader &r);
 
   private:
-    struct PageEntry
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint64_t epoch = 0; ///< Epoch of the last write.
-        /** Cached pointer into stamps_ (lazily wired by touchPage). */
-        std::atomic<std::uint64_t> *stamp = nullptr;
-    };
-
     const PageEntry *findPage(std::uint64_t idx) const;
     PageEntry &touchPage(std::uint64_t idx);
+
+    /** Every write's bookkeeping on a page with a wired stamp: the page
+     *  joins the current epoch, and its stamp is bumped *before* the
+     *  caller changes the bytes, so a CodeRef sampled around the write
+     *  can only go conservatively stale, never miss it. */
+    void
+    markWritten(PageEntry &page)
+    {
+        page.epoch = epoch_;
+        page.stamp->fetch_add(1, std::memory_order_release);
+    }
     std::atomic<std::uint64_t> &stampSlot(std::uint64_t idx);
     void bumpAllStamps();
 
@@ -129,6 +188,7 @@ class MainMemory
                        std::unique_ptr<std::atomic<std::uint64_t>>>
         stamps_;
     std::uint64_t epoch_ = 0;
+    std::uint64_t generation_ = 0;
     bool concurrent_ = false;
     mutable std::shared_mutex mu_;
 };

@@ -249,15 +249,47 @@ Worker::node() const
     return tile_ / os_.memorySystem().geometry().tilesPerNode;
 }
 
+Addr
+Worker::resolve(Addr va, std::uint32_t bytes,
+                mem::MainMemory::PageEntry *&page)
+{
+    constexpr std::uint64_t kPage = GuestSystem::kPageBytes;
+    static_assert(kPage == mem::MainMemory::kPageBytes);
+    mem::MainMemory &memory = os_.memorySystem().memory();
+    std::uint64_t vpn = va / kPage;
+    std::uint64_t off = va % kPage;
+    CachedPage &c = pages_[vpn % kCachedPages];
+    if (c.vpn == vpn && c.memGen == memory.generation() &&
+        c.mapGen == os_.mapGeneration_ && bytes != 0 &&
+        off + bytes <= kPage) {
+        page = c.page;
+        return c.frame + off;
+    }
+    page = nullptr;
+    Addr pa = os_.translate(va, node());
+    // With no device window on the page, pa came from the page table.
+    if (!os_.overlapsDevice(vpn * kPage, kPage)) {
+        if (auto *p = memory.directPage(pa)) {
+            c = CachedPage{vpn, pa - off, p, memory.generation(),
+                           os_.mapGeneration_};
+        }
+    }
+    return pa;
+}
+
 std::uint64_t
 Worker::load(Addr va, std::uint32_t bytes)
 {
-    Addr pa = os_.translate(va, node());
+    std::uint32_t n = std::min(bytes, 8u);
+    mem::MainMemory::PageEntry *page = nullptr;
+    Addr pa = resolve(va, n, page);
     auto r = os_.memorySystem().access(tile_, pa, cache::AccessType::kLoad,
                                        bytes, clock_);
     clock_ += r.latency;
     std::uint64_t value =
-        os_.memorySystem().memory().load(pa, std::min(bytes, 8u));
+        page ? mem::MainMemory::loadFrom(*page, pa % GuestSystem::kPageBytes,
+                                         n)
+             : os_.memorySystem().memory().load(pa, n);
     maybeYield();
     return value;
 }
@@ -265,9 +297,15 @@ Worker::load(Addr va, std::uint32_t bytes)
 void
 Worker::store(Addr va, std::uint64_t value, std::uint32_t bytes)
 {
-    Addr pa = os_.translate(va, node());
+    std::uint32_t n = std::min(bytes, 8u);
+    mem::MainMemory::PageEntry *page = nullptr;
+    Addr pa = resolve(va, n, page);
     // Functional store first so device windows observe the new value.
-    os_.memorySystem().memory().store(pa, std::min(bytes, 8u), value);
+    mem::MainMemory &memory = os_.memorySystem().memory();
+    if (page)
+        memory.storeTo(*page, pa % GuestSystem::kPageBytes, n, value);
+    else
+        memory.store(pa, n, value);
     auto r = os_.memorySystem().access(tile_, pa, cache::AccessType::kStore,
                                        bytes, clock_);
     clock_ += r.latency;
@@ -277,12 +315,21 @@ Worker::store(Addr va, std::uint64_t value, std::uint32_t bytes)
 std::uint64_t
 Worker::amoAdd(Addr va, std::uint64_t delta)
 {
-    Addr pa = os_.translate(va, node());
+    mem::MainMemory::PageEntry *page = nullptr;
+    Addr pa = resolve(va, 8, page);
     auto r = os_.memorySystem().access(tile_, pa, cache::AccessType::kAtomic,
                                        8, clock_);
     clock_ += r.latency;
-    std::uint64_t old = os_.memorySystem().memory().load(pa, 8);
-    os_.memorySystem().memory().store(pa, 8, old + delta);
+    mem::MainMemory &memory = os_.memorySystem().memory();
+    std::uint64_t old;
+    if (page) {
+        std::uint64_t off = pa % GuestSystem::kPageBytes;
+        old = mem::MainMemory::loadFrom(*page, off, 8);
+        memory.storeTo(*page, off, 8, old + delta);
+    } else {
+        old = memory.load(pa, 8);
+        memory.store(pa, 8, old + delta);
+    }
     maybeYield();
     return old;
 }
@@ -290,12 +337,16 @@ Worker::amoAdd(Addr va, std::uint64_t delta)
 std::uint64_t
 Worker::ncLoad(Addr va, std::uint32_t bytes)
 {
-    Addr pa = os_.translate(va, node());
+    std::uint32_t n = std::min(bytes, 8u);
+    mem::MainMemory::PageEntry *page = nullptr;
+    Addr pa = resolve(va, n, page);
     auto r = os_.memorySystem().access(tile_, pa, cache::AccessType::kNcLoad,
                                        bytes, clock_);
     clock_ += r.latency;
     std::uint64_t value =
-        os_.memorySystem().memory().load(pa, std::min(bytes, 8u));
+        page ? mem::MainMemory::loadFrom(*page, pa % GuestSystem::kPageBytes,
+                                         n)
+             : os_.memorySystem().memory().load(pa, n);
     maybeYield();
     return value;
 }
@@ -369,6 +420,17 @@ void
 GuestSystem::mapDeviceIdentity(Addr base, std::uint64_t size)
 {
     deviceRanges_.emplace_back(base, size);
+    ++mapGeneration_;
+}
+
+bool
+GuestSystem::overlapsDevice(Addr base, std::uint64_t size) const
+{
+    for (const auto &[dbase, dsize] : deviceRanges_) {
+        if (base >= dbase ? base - dbase < dsize : dbase - base < size)
+            return true;
+    }
+    return false;
 }
 
 Addr

@@ -24,6 +24,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -95,6 +96,32 @@ class Worker
   private:
     friend class GuestSystem;
 
+    /**
+     * One entry of the translation and page cache: a VA page's frame and
+     * its page in MainMemory, valid while both generations it was filled
+     * under are current.
+     */
+    struct CachedPage
+    {
+        std::uint64_t vpn = ~std::uint64_t{0}; ///< No VA page has it.
+        Addr frame = 0;
+        mem::MainMemory::PageEntry *page = nullptr;
+        std::uint64_t memGen = 0; ///< MainMemory::generation().
+        std::uint64_t mapGen = 0; ///< GuestSystem's map generation.
+    };
+    static constexpr std::size_t kCachedPages = 64; ///< Direct-mapped.
+
+    /**
+     * Translates @p va for a functional access of @p bytes (1..8). On a
+     * cache hit, sets @p page to the MainMemory page the access may use
+     * directly. Otherwise leaves @p page null, translates through the
+     * GuestSystem and caches the page when it qualifies: no device
+     * window on it, and MainMemory::directPage() hands it out. An
+     * access that crosses its page never hits.
+     */
+    Addr resolve(Addr va, std::uint32_t bytes,
+                 mem::MainMemory::PageEntry *&page);
+
     /** Hands control back to the phase scheduler when another worker's
      *  virtual clock has fallen behind (keeps shared-resource arrival
      *  times approximately sorted). */
@@ -103,6 +130,7 @@ class Worker
     GuestSystem &os_;
     GlobalTileId tile_;
     Cycles clock_;
+    std::array<CachedPage, kCachedPages> pages_{};
 };
 
 /** The guest system: one address space plus a phase scheduler. */
@@ -150,7 +178,7 @@ class GuestSystem
 
     /**
      * Identity-maps a device window (MMIO is not paged); accesses within
-     * it translate to themselves.
+     * it translate to themselves. Ends every Worker's cached pages.
      */
     void mapDeviceIdentity(Addr base, std::uint64_t size);
 
@@ -172,6 +200,8 @@ class GuestSystem
 
     Addr frameOn(NodeId node);
     const VmRange *rangeOf(Addr va) const;
+    /** True when [base, base + size) overlaps a device window. */
+    bool overlapsDevice(Addr base, std::uint64_t size) const;
 
     cache::CoherentSystem &cs_;
     NumaMode mode_;
@@ -181,6 +211,9 @@ class GuestSystem
     std::vector<VmRange> ranges_;
     std::vector<std::pair<Addr, std::uint64_t>> deviceRanges_;
     std::unordered_map<std::uint64_t, Addr> pageTable_; ///< vpn -> frame.
+    /** Bumped when a translation may change: page table entries are
+     *  only ever added, but a new device window overrides them. */
+    std::uint64_t mapGeneration_ = 0;
     std::vector<Addr> nextFrame_; ///< Bump allocator per node.
     std::vector<std::uint64_t> pagesOnNode_;
     std::uint32_t interleaveNext_ = 0;

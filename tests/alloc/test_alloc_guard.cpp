@@ -297,6 +297,29 @@ TEST_F(AllocGuard, CoherentAccessLlcHitsLocalAndRemote)
     EXPECT_EQ(n, 0u);
 }
 
+TEST_F(AllocGuard, CoherentAccessLlcFillsAndEvictions)
+{
+    cache::CoherentSystem cs(guardGeo(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    Cycles now = 0;
+    // 8192 lines homed on node 0: four times its two 64 KiB LLC slices,
+    // so every load fills the LLC from DRAM and evicts a victim, whose
+    // directory entry is erased. The first sweeps grow the shard.
+    const Addr base = 0x100000;
+    sweep(cs, 1, base, 8192, 2, now, cache::ServiceLevel::kDramLocal);
+
+    std::uint64_t from_dram = 0;
+    std::uint64_t before = cs.stats().counterValue("cs.llc.evictions");
+    std::uint64_t n = allocationsAfterWarmUp([&] {
+        from_dram =
+            sweep(cs, 1, base, 8192, 2, now, cache::ServiceLevel::kDramLocal);
+    });
+    EXPECT_EQ(from_dram, 2u * 8192);
+    EXPECT_EQ(cs.stats().counterValue("cs.llc.evictions") - before,
+              4u * 8192);
+    EXPECT_EQ(n, 0u);
+}
+
 TEST_F(AllocGuard, MainMemoryOnMaterializedPages)
 {
     mem::MainMemory m;

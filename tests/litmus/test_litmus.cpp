@@ -93,13 +93,16 @@ TEST(Litmus, DataFastPathOnAndOffObserveIdenticalOutcomes)
             if (threads > 1 && t.threads.size() > 4)
                 continue;
             LitmusConfig cfg;
-            // A bare parsed platform has no checker attached.
+            // A bare parsed platform has no checker attached. Four harts
+            // on at least as many nodes as workers, so each leg really
+            // runs that many workers.
             cfg.platform = platform::PrototypeConfig::parse(
-                threads == 1 ? "2x1x2" : "1x1x4");
+                threads == 4 ? "4x1x1" : "2x1x2");
             cfg.seed = threads == 1 ? 31 : 31 + threads; // 31, 33, 35.
             cfg.iterations = 4;
             cfg.platform.parallel.threads = threads;
             cfg.platform.parallel.quantum = 63;
+            ASSERT_EQ(cfg.platform.workers(), threads);
 
             cfg.platform.core.dataFastPath = true;
             LitmusResult on = runLitmus(t, cfg);

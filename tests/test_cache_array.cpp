@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <vector>
 
 #include "cache/cache_array.hpp"
+#include "cache/line_table.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 
@@ -194,6 +197,64 @@ TEST(CacheArray, VictimForPredictsInsertWithoutMutating)
     ASSERT_TRUE(evicted);
     EXPECT_EQ(evicted->line, predicted->line);
     EXPECT_EQ(evicted->state, predicted->state);
+}
+
+TEST(LineTable, MatchesAMapUnderRandomInsertsAndErases)
+{
+    // Like a directory shard: lines come from a large space and the
+    // entry count hovers around 300, so the table grows, then runs at a
+    // steady size through many tombstone purges.
+    LineTable<std::uint64_t> table;
+    std::map<Addr, std::uint64_t> ref;
+    std::vector<Addr> live;
+    sim::Xoroshiro rng(5);
+    auto any_line = [&] { return rng.below(1 << 20) * kCacheLineBytes; };
+    for (int op = 0; op < 200'000; ++op) {
+        bool grow = live.size() < 300 ? rng.below(3) != 0 : rng.below(3) == 0;
+        if (grow || live.empty()) {
+            Addr line = any_line();
+            if (ref.find(line) == ref.end())
+                live.push_back(line);
+            table.insert(line) += 1;
+            ref[line] += 1;
+        } else {
+            std::size_t k = rng.below(live.size());
+            Addr line = rng.below(8) == 0 ? any_line() : live[k];
+            if (line == live[k]) {
+                live[k] = live.back();
+                live.pop_back();
+            }
+            table.erase(line);
+            ref.erase(line);
+        }
+        Addr probe = live.empty() || rng.below(2) == 0
+                         ? any_line()
+                         : live[rng.below(live.size())];
+        const std::uint64_t *got = table.find(probe);
+        auto it = ref.find(probe);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "op " << op;
+        if (got)
+            ASSERT_EQ(*got, it->second) << "op " << op;
+        ASSERT_EQ(table.size(), ref.size()) << "op " << op;
+    }
+    std::map<Addr, std::uint64_t> all;
+    table.forEach([&](Addr line, std::uint64_t v) { all[line] = v; });
+    EXPECT_EQ(all, ref);
+}
+
+TEST(LineTable, EraseMovesNoOtherEntry)
+{
+    LineTable<std::uint64_t> table;
+    for (Addr i = 0; i < 1000; ++i)
+        table.insert(i * kCacheLineBytes) = i;
+    std::uint64_t &held = table.insert(500 * kCacheLineBytes);
+    for (Addr i = 0; i < 1000; ++i) {
+        if (i != 500)
+            table.erase(i * kCacheLineBytes);
+    }
+    EXPECT_EQ(&held, table.find(500 * kCacheLineBytes));
+    EXPECT_EQ(held, 500u);
+    EXPECT_EQ(table.size(), 1u);
 }
 
 } // namespace

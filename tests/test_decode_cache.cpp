@@ -219,13 +219,18 @@ w_delay:
     ecall
 )";
 
+/** Two harts (at least) for the SMC programs. With one worker both sit
+ *  on one node; with more, the harts get one node each and the spec has
+ *  a node per worker, so every worker really runs. */
 platform::PrototypeConfig
 smcConfig(bool cacheOn, std::uint32_t threads)
 {
-    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("1x1x2");
+    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse(
+        threads == 1 ? "1x1x2" : threads == 2 ? "2x1x1" : "4x1x1");
     cfg.core.decodeCache.enabled = cacheOn;
     cfg.parallel.threads = threads;
     cfg.parallel.quantum = 63;
+    EXPECT_EQ(cfg.workers(), threads);
     return cfg;
 }
 

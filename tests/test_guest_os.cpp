@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cfenv>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "os/guest_system.hpp"
 #include "sim/log.hpp"
+#include "snap/state_io.hpp"
 
 namespace smappic::os
 {
@@ -163,6 +167,116 @@ TEST(GuestSystem, AmoAddIsAtomicFunctionally)
     });
     os.parallelPhase({0}, [&](Worker &w) {
         EXPECT_EQ(w.load(ctr), 40u);
+    });
+}
+
+/** Writes @p m to a fresh checkpoint file; returns its path. */
+std::string
+saveMemory(const mem::MainMemory &m, const std::string &name)
+{
+    std::string path =
+        (std::filesystem::path(::testing::TempDir()) / (name + ".smck"))
+            .string();
+    std::ofstream os(path, std::ios::binary);
+    snap::Writer w(os);
+    w.begin(snap::Section::kMemory);
+    m.saveState(w);
+    w.end();
+    w.finish();
+    return path;
+}
+
+void
+restoreMemory(mem::MainMemory &m, const std::string &path)
+{
+    snap::Reader r(path);
+    r.open(snap::Section::kMemory);
+    m.restoreState(r);
+}
+
+TEST(GuestSystem, WorkerPageCacheHonorsClearRestoreAndDeviceWindows)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    mem::MainMemory &m = cs.memory();
+    Addr va = os.vmAlloc(GuestSystem::kPageBytes);
+    os.parallelPhase({0}, [&](Worker &w) {
+        w.store(va, 5);
+        EXPECT_EQ(w.load(va), 5u); // Caches the page...
+        EXPECT_EQ(w.load(va), 5u); // ...and hits it.
+
+        m.clear();
+        EXPECT_EQ(w.load(va), 0u) << "a load read a page clear() dropped";
+
+        w.store(va, 7);
+        EXPECT_EQ(w.load(va), 7u);
+        std::string path = saveMemory(m, "guest_page_cache");
+        w.store(va, 9);
+        EXPECT_EQ(w.load(va), 9u);
+        restoreMemory(m, path);
+        EXPECT_EQ(w.load(va), 7u) << "a load read the pre-restore page";
+
+        w.store(va, 11);
+        EXPECT_EQ(w.load(va), 11u);
+        EXPECT_EQ(w.load(va), 11u);
+        // An identity window over the cached page: va now means PA va.
+        m.store(va, 8, 0xd00d);
+        os.mapDeviceIdentity(va, GuestSystem::kPageBytes);
+        EXPECT_EQ(w.load(va), 0xd00du)
+            << "a load used the translation a device window replaced";
+    });
+}
+
+TEST(GuestSystem, StoreThroughCachedPageBumpsStampAndEpoch)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    mem::MainMemory &m = cs.memory();
+    Addr va = os.vmAlloc(GuestSystem::kPageBytes);
+    os.parallelPhase({0}, [&](Worker &w) {
+        w.store(va, 1);
+        EXPECT_EQ(w.load(va), 1u); // The page is cached from here on.
+        const auto &stamp = m.pageWriteStamp(os.translate(va, 0));
+        std::uint64_t epoch = m.beginEpoch();
+        EXPECT_EQ(m.pagesDirtySince(epoch), 0u);
+
+        std::uint64_t before = stamp.load();
+        w.store(va + 8, 2);
+        EXPECT_GT(stamp.load(), before);
+        EXPECT_EQ(m.pagesDirtySince(epoch), 1u);
+
+        before = stamp.load();
+        EXPECT_EQ(w.amoAdd(va + 8, 3), 2u);
+        EXPECT_GT(stamp.load(), before);
+        EXPECT_EQ(m.load(os.translate(va + 8, 0), 8), 5u);
+    });
+}
+
+TEST(GuestSystem, StoreToRestoredPageBumpsItsStamp)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    mem::MainMemory &m = cs.memory();
+    Addr va = os.vmAlloc(GuestSystem::kPageBytes);
+    os.parallelPhase({0}, [&](Worker &w) { w.store(va, 1); });
+    restoreMemory(m, saveMemory(m, "guest_restored_stamp"));
+
+    // The restored page has no stamp wired until its first store.
+    const auto &stamp = m.pageWriteStamp(os.translate(va, 0));
+    os.parallelPhase({0}, [&](Worker &w) {
+        EXPECT_EQ(w.load(va), 1u);
+        std::uint64_t before = stamp.load();
+        w.store(va, 2);
+        EXPECT_GT(stamp.load(), before)
+            << "a store to a restored page left its stamp unchanged";
+        EXPECT_EQ(w.load(va), 2u);
+        before = stamp.load();
+        w.store(va, 3);
+        EXPECT_GT(stamp.load(), before);
+        EXPECT_EQ(w.load(va), 3u);
     });
 }
 

@@ -317,10 +317,17 @@ TEST(LockstepFuzz, DataFastPathOnAndOffReachIdenticalFinalState)
     // workers. Both variants run the identical program under the
     // golden-model checker: zero divergences each, and equal commit
     // counts pin the final architectural state as identical (every
-    // commit was already golden-verified). Both harts live on one node.
+    // commit was already golden-verified). The 1-worker leg keeps both
+    // harts on one node; the others put one hart on each of as many
+    // nodes as workers, so each leg really runs that many workers.
     for (std::uint32_t workers : {1u, 2u, 4u}) {
         FuzzConfig cfg;
+        if (workers > 1) {
+            cfg.platform = platform::PrototypeConfig::parse(
+                workers == 2 ? "2x1x1" : "4x1x1");
+        }
         cfg.platform.parallel = {workers, 256};
+        ASSERT_EQ(cfg.platform.workers(), workers);
         cfg.seed = 23;
         cfg.count = 128;
         cfg.mix = FuzzMix::kMem;

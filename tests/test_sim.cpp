@@ -215,6 +215,64 @@ TEST(QueueServer, IdleGapResetsQueueing)
     EXPECT_EQ(g.start, 1000u);
 }
 
+/** The way pick offer() must match: a plain first-minimum loop. */
+struct ReferenceServer
+{
+    std::vector<Cycles> lanes;
+
+    QueueServer::Grant
+    offer(Cycles now, Cycles service)
+    {
+        std::size_t best = 0;
+        for (std::size_t w = 1; w < lanes.size(); ++w) {
+            if (lanes[w] < lanes[best])
+                best = w;
+        }
+        Cycles start = std::max(now, lanes[best]);
+        lanes[best] = start + service;
+        return {start, lanes[best], start - now};
+    }
+};
+
+TEST(QueueServer, WayPickMatchesFirstMinimumLoop)
+{
+    Xoroshiro rng(17);
+    for (std::uint32_t ways : {1u, 2u, 4u, 8u, 16u}) {
+        QueueServer s(ways);
+        ReferenceServer ref{std::vector<Cycles>(ways, 0)};
+        Cycles now = 0;
+        for (int i = 0; i < 20'000; ++i) {
+            // Bursts at one arrival time, small steps and idle gaps, with
+            // service times that often repeat, so equal lanes are common.
+            std::uint64_t step = rng.below(8);
+            now += step < 4 ? 0 : step < 7 ? rng.below(16) : rng.below(400);
+            Cycles service = rng.below(2) == 0 ? 10 : 1 + rng.below(60);
+            QueueServer::Grant got = s.offer(now, service);
+            QueueServer::Grant want = ref.offer(now, service);
+            ASSERT_EQ(got.start, want.start) << ways << " ways, request " << i;
+            ASSERT_EQ(got.done, want.done) << ways << " ways, request " << i;
+            ASSERT_EQ(got.queued, want.queued)
+                << ways << " ways, request " << i;
+        }
+        EXPECT_EQ(s.lanes(), ref.lanes) << ways << " ways";
+    }
+}
+
+TEST(QueueServer, WayPickTakesLowestIndexOnTies)
+{
+    QueueServer s(4);
+    // Ways 1 and 2 tie for the minimum: way 1 serves.
+    s.restore({30, 10, 10, 20}, 0, 0, 0);
+    auto g = s.offer(0, 5);
+    EXPECT_EQ(g.start, 10u);
+    EXPECT_EQ(s.lanes(), (std::vector<Cycles>{30, 15, 10, 20}));
+    // Way 2 alone is the minimum; after it, ways 1 and 2 tie again.
+    s.offer(0, 5);
+    EXPECT_EQ(s.lanes(), (std::vector<Cycles>{30, 15, 15, 20}));
+    s.offer(0, 1);
+    EXPECT_EQ(s.lanes(), (std::vector<Cycles>{30, 16, 15, 20}));
+}
+
 TEST(TrafficShaper, LatencyOnlyPath)
 {
     TrafficShaper shaper(125, 0.0);
