@@ -9,6 +9,7 @@
 #include <ucontext.h>
 #endif
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
@@ -119,23 +120,28 @@ switchTo(FiberContext &from, FiberContext &to,
  * keeps request arrival times at shared resources (LLC slices, DRAM
  * channels, PCIe links) approximately sorted, so the next-free-time
  * servers model *contention* rather than accidentally serializing one
- * worker behind another. All switching state lives here, none in
- * statics, so schedulers on different threads never share anything.
+ * worker behind another. A yielding or finishing fiber picks the next
+ * task itself and switches straight to it; only the last fiber, or one
+ * that threw, switches back to parallelPhase. All switching state lives
+ * here or in the GuestSystem, none in statics, so schedulers on
+ * different threads never share anything.
  */
 struct GuestSystem::PhaseScheduler
 {
+    static constexpr std::size_t kStackBytes = 256 << 10;
+
     struct Task
     {
         FiberContext ctx;
-        std::vector<std::uint8_t> stack;
+        std::uint8_t *stack = nullptr; ///< kStackBytes, from the pool.
         Worker worker;
-        bool done = false;
-        std::exception_ptr error;
+        std::size_t index; ///< Position in tiles; breaks clock ties.
         const std::function<void(Worker &)> *body = nullptr;
         PhaseScheduler *sched = nullptr;
 
-        Task(GuestSystem &os, GlobalTileId tile, Cycles start)
-            : worker(os, tile, start)
+        Task(GuestSystem &os, GlobalTileId tile, Cycles start,
+             std::size_t index)
+            : worker(os, tile, start), index(index)
         {
         }
 
@@ -151,7 +157,52 @@ struct GuestSystem::PhaseScheduler
     FiberContext main;
     Task *current = nullptr;
     Cycles threshold = ~Cycles{0};
+    Cycles quantum = 0;
+    std::exception_ptr error; ///< The exception a fiber threw, if any.
     std::vector<std::unique_ptr<Task>> tasks;
+    /** Suspended tasks: a heap whose top has the lowest clock, then the
+     *  lowest index. */
+    std::vector<Task *> runnable;
+
+    /** Heap order: true when @p a runs after @p b. */
+    static bool
+    after(const Task *a, const Task *b)
+    {
+        if (a->worker.clock_ != b->worker.clock_)
+            return a->worker.clock_ > b->worker.clock_;
+        return a->index > b->index;
+    }
+
+    /**
+     * Makes the lagging suspended task current, with a threshold one
+     * quantum past the next-lagging one's clock (no limit when it is
+     * alone). Null when no task is suspended.
+     */
+    Task *
+    pickNext()
+    {
+        if (runnable.empty())
+            return nullptr;
+        std::pop_heap(runnable.begin(), runnable.end(), after);
+        current = runnable.back();
+        runnable.pop_back();
+        threshold = runnable.empty()
+                        ? ~Cycles{0}
+                        : runnable.front()->worker.clock_ + quantum;
+        return current;
+    }
+
+    /** Suspends the current task, whose clock has passed the threshold,
+     *  and resumes the lagging one: another task, since the heap top's
+     *  clock is below the threshold. */
+    void
+    yield()
+    {
+        Task *from = current;
+        runnable.push_back(from);
+        std::push_heap(runnable.begin(), runnable.end(), after);
+        switchTo(from->ctx, pickNext()->ctx);
+    }
 
     /** Readies @p task's fiber to enter fiberMain on its own stack, with
      *  the caller's floating-point control state. */
@@ -159,8 +210,13 @@ struct GuestSystem::PhaseScheduler
     prepare(Task &task)
     {
         FiberContext &ctx = task.ctx;
-        ctx.stackBottom = task.stack.data();
-        ctx.stackSize = task.stack.size();
+        ctx.stackBottom = task.stack;
+        ctx.stackSize = kStackBytes;
+#if defined(__SANITIZE_ADDRESS__)
+        // A pooled stack may still carry the poison of an earlier
+        // phase's frames that never returned.
+        __asan_unpoison_memory_region(task.stack, kStackBytes);
+#endif
 #if defined(__SANITIZE_THREAD__)
         ctx.tsanFiber = __tsan_create_fiber(0);
         task.sched->main.tsanFiber = __tsan_get_current_fiber();
@@ -183,15 +239,15 @@ struct GuestSystem::PhaseScheduler
         f.ret = reinterpret_cast<std::uintptr_t>(&smappicFiberStart);
         // After the pop, rsp sits 16 below the 16-aligned top: the ABI
         // alignment smappicFiberStart's call needs.
-        std::uint8_t *top = task.stack.data() + task.stack.size();
+        std::uint8_t *top = task.stack + kStackBytes;
         top -= reinterpret_cast<std::uintptr_t>(top) % 16;
         std::uint8_t *sp = top - 16 - sizeof(Frame);
         std::memcpy(sp, &f, sizeof(Frame));
         ctx.sp = sp;
 #else
         getcontext(&ctx.uc);
-        ctx.uc.uc_stack.ss_sp = task.stack.data();
-        ctx.uc.uc_stack.ss_size = task.stack.size();
+        ctx.uc.uc_stack.ss_sp = task.stack;
+        ctx.uc.uc_stack.ss_size = kStackBytes;
         ctx.uc.uc_link = nullptr;
         auto ptr = reinterpret_cast<std::uintptr_t>(&task);
         makecontext(&ctx.uc,
@@ -212,22 +268,30 @@ struct GuestSystem::PhaseScheduler
 #endif
 
     /** Runs the body; no exception unwinds past this frame. Ends with
-     *  the fiber's last switch back to the scheduler. */
+     *  the fiber's last switch: to the lagging task, or back to
+     *  parallelPhase when none is left or the body threw. */
     [[noreturn]] static void
     fiberMain(Task *task)
     {
+        PhaseScheduler &s = *task->sched;
 #if defined(__SANITIZE_ADDRESS__)
-        FiberContext &main = task->sched->main;
-        __sanitizer_finish_switch_fiber(nullptr, &main.stackBottom,
-                                        &main.stackSize);
+        // Only a phase's first fiber is entered from parallelPhase; the
+        // others start from a fiber, whose bounds are not main's.
+        const void *fromBottom = nullptr;
+        std::size_t fromSize = 0;
+        __sanitizer_finish_switch_fiber(nullptr, &fromBottom, &fromSize);
+        if (s.main.stackBottom == nullptr) {
+            s.main.stackBottom = fromBottom;
+            s.main.stackSize = fromSize;
+        }
 #endif
         try {
             (*task->body)(task->worker);
         } catch (...) {
-            task->error = std::current_exception();
+            s.error = std::current_exception();
         }
-        task->done = true;
-        switchTo(task->ctx, task->sched->main, true);
+        Task *next = s.error ? nullptr : s.pickNext();
+        switchTo(task->ctx, next ? next->ctx : s.main, true);
         std::abort(); // A finished fiber is never resumed.
     }
 };
@@ -240,7 +304,7 @@ Worker::maybeYield()
         return;
     if (clock_ <= s->threshold)
         return;
-    switchTo(s->current->ctx, s->main);
+    s->yield();
 }
 
 NodeId
@@ -258,7 +322,7 @@ Worker::resolve(Addr va, std::uint32_t bytes,
     mem::MainMemory &memory = os_.memorySystem().memory();
     std::uint64_t vpn = va / kPage;
     std::uint64_t off = va % kPage;
-    CachedPage &c = pages_[vpn % kCachedPages];
+    CachedPage &c = pages_[(vpn ^ (vpn >> 6)) % kCachedPages];
     if (c.vpn == vpn && c.memGen == memory.generation() &&
         c.mapGen == os_.mapGeneration_ && bytes != 0 &&
         off + bytes <= kPage) {
@@ -481,49 +545,35 @@ GuestSystem::parallelPhase(const std::vector<GlobalTileId> &tiles,
     fatalIf(tiles.empty(), "parallel phase with no workers");
     panicIf(scheduler_ != nullptr, "nested parallel phases");
 
+    using Task = PhaseScheduler::Task;
+    while (fiberStacks_.size() < tiles.size()) {
+        auto stack = std::make_unique_for_overwrite<std::uint8_t[]>(
+            PhaseScheduler::kStackBytes);
+        fiberStacks_.push_back(std::move(stack));
+    }
     PhaseScheduler sched;
-    scheduler_ = &sched;
-    constexpr std::size_t kStackBytes = 256 << 10;
-    for (GlobalTileId t : tiles) {
-        auto task =
-            std::make_unique<PhaseScheduler::Task>(*this, t, clock_);
+    sched.quantum = quantum_;
+    sched.tasks.reserve(tiles.size());
+    sched.runnable.reserve(tiles.size());
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+        auto task = std::make_unique<Task>(*this, tiles[i], clock_, i);
         task->body = &body;
         task->sched = &sched;
-        task->stack.resize(kStackBytes);
+        task->stack = fiberStacks_[i].get();
         PhaseScheduler::prepare(*task);
+        sched.runnable.push_back(task.get());
         sched.tasks.push_back(std::move(task));
     }
+    std::make_heap(sched.runnable.begin(), sched.runnable.end(),
+                   PhaseScheduler::after);
 
-    // Resume the lagging fiber until everyone finishes; each runs for at
-    // most one quantum past the next-slowest worker's clock.
-    std::exception_ptr first_error;
-    while (true) {
-        PhaseScheduler::Task *next = nullptr;
-        Cycles second = ~Cycles{0};
-        for (auto &t : sched.tasks) {
-            if (t->done)
-                continue;
-            if (!next || t->worker.clock_ < next->worker.clock_) {
-                if (next)
-                    second = std::min(second, next->worker.clock_);
-                next = t.get();
-            } else {
-                second = std::min(second, t->worker.clock_);
-            }
-        }
-        if (!next || first_error)
-            break;
-        sched.threshold =
-            second == ~Cycles{0} ? ~Cycles{0} : second + quantum_;
-        sched.current = next;
-        switchTo(sched.main, next->ctx);
-        sched.current = nullptr;
-        if (next->done && next->error && !first_error)
-            first_error = next->error;
-    }
+    // The fibers hand control to one another, each running for at most
+    // one quantum past the next-lagging worker's clock.
+    scheduler_ = &sched;
+    switchTo(sched.main, sched.pickNext()->ctx);
     scheduler_ = nullptr;
-    if (first_error)
-        std::rethrow_exception(first_error);
+    if (sched.error)
+        std::rethrow_exception(sched.error);
 
     Cycles end = clock_;
     for (auto &t : sched.tasks)

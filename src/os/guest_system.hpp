@@ -27,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,7 +110,12 @@ class Worker
         std::uint64_t memGen = 0; ///< MainMemory::generation().
         std::uint64_t mapGen = 0; ///< GuestSystem's map generation.
     };
-    static constexpr std::size_t kCachedPages = 64; ///< Direct-mapped.
+    /**
+     * Direct-mapped, indexed by (vpn ^ (vpn >> 6)) % kCachedPages. The
+     * fold spreads strided pages: under vpn % 64, pages 16 apart fall
+     * on only 4 slots, and pages k and k + 64 always collide.
+     */
+    static constexpr std::size_t kCachedPages = 64;
 
     /**
      * Translates @p va for a functional access of @p bytes (1..8). On a
@@ -122,8 +128,8 @@ class Worker
     Addr resolve(Addr va, std::uint32_t bytes,
                  mem::MainMemory::PageEntry *&page);
 
-    /** Hands control back to the phase scheduler when another worker's
-     *  virtual clock has fallen behind (keeps shared-resource arrival
+    /** Hands control to the lagging worker's fiber when this worker's
+     *  clock has run a quantum past it (keeps shared-resource arrival
      *  times approximately sorted). */
     void maybeYield();
 
@@ -225,6 +231,9 @@ class GuestSystem
     friend class Worker;
     struct PhaseScheduler;
     PhaseScheduler *scheduler_ = nullptr;
+    /** Fiber stacks, one per task of the widest phase so far; every
+     *  phase reuses them. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> fiberStacks_;
 
     /** Virtual-time quantum between scheduler yields within a phase. */
     Cycles quantum_ = 150;

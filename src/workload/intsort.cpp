@@ -16,6 +16,32 @@ const sim::StatId kDramRemote("cs.serviced.dramRemote");
 const sim::StatId kLlcLocal("cs.serviced.llcLocal");
 const sim::StatId kDramLocal("cs.serviced.dramLocal");
 
+/**
+ * Calls @p fn(i, word) for the 8-byte words i = 0, 1, ... count - 1 of
+ * the guest array at @p va (8-byte aligned), read straight from the
+ * backing store outside any Worker: one translation and one readBytes
+ * per page. Stops as soon as @p fn returns false, so pages past that
+ * word are never translated.
+ */
+template <typename Fn>
+void
+forEachWord(os::GuestSystem &os, Addr va, std::uint64_t count, Fn &&fn)
+{
+    constexpr std::uint64_t kPage = os::GuestSystem::kPageBytes;
+    mem::MainMemory &mem = os.memorySystem().memory();
+    std::uint64_t words[kPage / 8];
+    std::uint64_t i = 0;
+    while (i < count) {
+        Addr at = va + i * 8;
+        std::uint64_t chunk = std::min(count - i, (kPage - at % kPage) / 8);
+        mem.readBytes(os.translate(at, 0), words, chunk * 8);
+        for (std::uint64_t j = 0; j < chunk; ++j, ++i) {
+            if (!fn(i, words[j]))
+                return;
+        }
+    }
+}
+
 } // namespace
 
 IntSortResult
@@ -24,7 +50,6 @@ runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
 {
     fatalIf(tiles.empty(), "integer sort needs at least one worker");
     auto &cs = os.memorySystem();
-    auto &mem = cs.memory();
     const std::uint64_t n = cfg.keys;
     const std::uint32_t workers = static_cast<std::uint32_t>(tiles.size());
     const std::uint64_t chunk = (n + workers - 1) / workers;
@@ -124,20 +149,25 @@ runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
 
         // Per-(worker,bucket) offsets within each worker's staging chunk
         // (prefix sums of the worker's own histogram; register/stack
-        // bookkeeping in the real kernel).
+        // bookkeeping in the real kernel), and each worker's key count.
         std::vector<std::uint64_t> local_base(
             static_cast<std::size_t>(workers) * buckets);
-        for (std::uint32_t k = 0; k < workers; ++k) {
+        std::vector<std::uint64_t> totals(workers);
+        {
+            std::uint32_t k = 0;
+            std::uint32_t b = 0;
             std::uint64_t running = 0;
-            for (std::uint32_t b = 0; b < buckets; ++b) {
-                local_base[static_cast<std::size_t>(k) * buckets + b] =
-                    running;
-                running += mem.load(
-                    os.translate(
-                        hist_va + (static_cast<Addr>(k) * buckets + b) * 8,
-                        0),
-                    8);
-            }
+            forEachWord(os, hist_va, local_base.size(),
+                        [&](std::uint64_t i, std::uint64_t count) {
+                            local_base[i] = running;
+                            running += count;
+                            if (++b == buckets) {
+                                totals[k++] = running;
+                                b = 0;
+                                running = 0;
+                            }
+                            return true;
+                        });
         }
 
         // Phase 3a: each worker groups its own keys by bucket into its
@@ -165,27 +195,29 @@ runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
         // Phase 3b: the key exchange. Each worker owns a contiguous range
         // of buckets and gathers those buckets' segments from every
         // worker's staging chunk — the all-to-all communication step.
+        // Segment sizes are differences of the local bases.
+        std::vector<std::uint64_t> bucket_base(buckets);
+        forEachWord(os, base_va, buckets,
+                    [&](std::uint64_t b, std::uint64_t base) {
+                        bucket_base[b] = base;
+                        return true;
+                    });
         os.parallelPhase(tiles, [&](os::Worker &w) {
             std::uint32_t me = worker_index(w.tile());
             std::uint32_t b_begin = me * buckets / workers;
             std::uint32_t b_end = (me + 1) * buckets / workers;
             for (std::uint32_t b = b_begin; b < b_end; ++b) {
-                std::uint64_t out_pos = mem.load(
-                    os.translate(base_va + b * 8, 0), 8);
+                std::uint64_t out_pos = bucket_base[b];
                 for (std::uint32_t k = 0; k < workers; ++k) {
                     std::uint64_t kb_begin;
                     std::uint64_t kb_end;
                     key_range(k, kb_begin, kb_end);
-                    std::uint64_t seg =
-                        local_base[static_cast<std::size_t>(k) * buckets +
-                                   b];
-                    std::uint64_t count = mem.load(
-                        os.translate(hist_va +
-                                         (static_cast<Addr>(k) * buckets +
-                                          b) *
-                                             8,
-                                     0),
-                        8);
+                    const std::uint64_t *row =
+                        local_base.data() +
+                        static_cast<std::size_t>(k) * buckets;
+                    std::uint64_t seg = row[b];
+                    std::uint64_t count =
+                        (b + 1 < buckets ? row[b + 1] : totals[k]) - seg;
                     w.compute(2);
                     for (std::uint64_t j = 0; j < count; ++j) {
                         std::uint64_t key = w.load(
@@ -205,15 +237,15 @@ runIntSort(os::GuestSystem &os, const std::vector<GlobalTileId> &tiles,
     // Functional verification straight from the backing store.
     result.sorted = true;
     std::uint64_t prev_bucket = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint64_t v = mem.load(os.translate(out_va + i * 8, 0), 8);
+    forEachWord(os, out_va, n, [&](std::uint64_t, std::uint64_t v) {
         std::uint64_t b = bucket_of(v);
         if (b < prev_bucket) {
             result.sorted = false;
-            break;
+            return false;
         }
         prev_bucket = b;
-    }
+        return true;
+    });
 
     std::uint64_t remote =
         cs.stats().counterValue(kLlcRemote) +

@@ -34,6 +34,8 @@ namespace
 {
 
 std::atomic<std::uint64_t> gAllocations{0};
+/** Allocations of 64 KiB or more (a fiber stack is 256 KiB). */
+std::atomic<std::uint64_t> gLargeAllocations{0};
 
 } // namespace
 
@@ -42,17 +44,25 @@ std::atomic<std::uint64_t> gAllocations{0};
 namespace
 {
 
+void
+countAllocation(std::size_t bytes)
+{
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (bytes >= (64 << 10))
+        gLargeAllocations.fetch_add(1, std::memory_order_relaxed);
+}
+
 void *
 countedAlloc(std::size_t bytes)
 {
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    countAllocation(bytes);
     return std::malloc(bytes == 0 ? 1 : bytes);
 }
 
 void *
 countedAlignedAlloc(std::size_t bytes, std::align_val_t align)
 {
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    countAllocation(bytes);
     auto a = static_cast<std::size_t>(align);
     // aligned_alloc wants a size that is a multiple of the alignment.
     return std::aligned_alloc(a, (bytes + a - 1) / a * a);
@@ -176,6 +186,12 @@ std::uint64_t
 allocations()
 {
     return gAllocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+largeAllocations()
+{
+    return gLargeAllocations.load(std::memory_order_relaxed);
 }
 
 /**
@@ -375,6 +391,31 @@ TEST_F(AllocGuard, WorkerAccessesInsideAPhase)
     os.parallelPhase(tiles, body);
     EXPECT_EQ(made[0], 0u);
     EXPECT_EQ(made[1], 0u);
+}
+
+TEST_F(AllocGuard, ParallelPhaseReusesFiberStacks)
+{
+    cache::CoherentSystem cs(guardGeo(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    os::GuestSystem os(cs, os::NumaMode::kOff, 3);
+    const std::vector<GlobalTileId> tiles = {0, 1, 2, 3};
+    int finished = 0;
+    auto body = [&](os::Worker &w) {
+        for (int i = 0; i < 20; ++i)
+            w.compute(40 + 10 * w.tile()); // Interleaves the fibers.
+        ++finished;
+    };
+
+    std::uint64_t before = largeAllocations();
+    os.parallelPhase(tiles, body);
+    EXPECT_GE(largeAllocations() - before, tiles.size())
+        << "the first phase's fiber stacks went uncounted";
+
+    before = largeAllocations();
+    os.parallelPhase(tiles, body);
+    os.parallelPhase({tiles[1], tiles[3]}, body);
+    EXPECT_EQ(largeAllocations() - before, 0u);
+    EXPECT_EQ(finished, 10);
 }
 
 TEST_F(AllocGuard, CoreRunsAnL1ResidentLoop)

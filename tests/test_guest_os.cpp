@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "os/guest_system.hpp"
 #include "sim/log.hpp"
@@ -144,6 +147,89 @@ TEST(GuestSystem, PhaseBarrierTakesMaxOfClocks)
     EXPECT_EQ(os.elapsed() - before, 5100u);
 }
 
+TEST(GuestSystem, PhaseSchedulerMatchesLaggingFirstScan)
+{
+    // Each worker's compute() steps. Every worker starts at the same
+    // clock and workers 0 and 1 step in lockstep, so ties are frequent;
+    // worker 5 has zero-cycle steps and worker 7 none at all.
+    const std::vector<std::vector<Cycles>> scripts = {
+        {100, 100, 100, 100, 100, 100, 100, 100},
+        {100, 100, 100, 100, 100, 100, 100, 100},
+        {400, 400, 400},
+        {1, 1, 1, 500, 1, 1, 1, 200},
+        {50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50},
+        {0, 300, 0, 150, 150, 0},
+        {200, 10, 190, 600},
+        {},
+    };
+    constexpr Cycles kQuantum = 150; // GuestSystem's scheduling quantum.
+    const std::size_t workers = scripts.size();
+    using Resume = std::pair<std::size_t, Cycles>; // (worker, clock)
+
+    // The scan the scheduler must reproduce: resume the lowest clock,
+    // the first index on a tie, until the clock passes the second-lowest
+    // clock plus the quantum.
+    std::vector<Resume> expected;
+    {
+        std::vector<Cycles> clock(workers, 0);
+        std::vector<std::size_t> pos(workers, 0);
+        std::vector<bool> done(workers, false);
+        while (true) {
+            std::size_t next = workers;
+            for (std::size_t i = 0; i < workers; ++i) {
+                if (!done[i] && (next == workers || clock[i] < clock[next]))
+                    next = i;
+            }
+            if (next == workers)
+                break;
+            Cycles second = ~Cycles{0};
+            for (std::size_t i = 0; i < workers; ++i) {
+                if (!done[i] && i != next)
+                    second = std::min(second, clock[i]);
+            }
+            Cycles threshold =
+                second == ~Cycles{0} ? ~Cycles{0} : second + kQuantum;
+            expected.emplace_back(next, clock[next]);
+            while (true) {
+                if (pos[next] == scripts[next].size()) {
+                    done[next] = true;
+                    break;
+                }
+                clock[next] += scripts[next][pos[next]++];
+                if (clock[next] > threshold)
+                    break;
+            }
+        }
+    }
+
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOn);
+    std::vector<GlobalTileId> tiles;
+    for (std::size_t i = 0; i < workers; ++i)
+        tiles.push_back(static_cast<GlobalTileId>(i));
+    for (int phase = 0; phase < 2; ++phase) {
+        // Clocks relative to the phase's start; a resume is a body
+        // running after another's.
+        std::vector<Resume> resumed;
+        std::size_t running = workers;
+        auto note = [&](std::size_t me, Cycles now) {
+            if (me != running)
+                resumed.emplace_back(me, now - os.elapsed());
+            running = me;
+        };
+        os.parallelPhase(tiles, [&](Worker &w) {
+            const std::size_t me = w.tile();
+            for (Cycles step : scripts[me]) {
+                note(me, w.now());
+                w.compute(step);
+            }
+            note(me, w.now());
+        });
+        EXPECT_EQ(resumed, expected) << "phase " << phase;
+    }
+}
+
 TEST(GuestSystem, UnmappedAccessIsFatal)
 {
     cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
@@ -226,6 +312,59 @@ TEST(GuestSystem, WorkerPageCacheHonorsClearRestoreAndDeviceWindows)
         EXPECT_EQ(w.load(va), 0xd00du)
             << "a load used the translation a device window replaced";
     });
+}
+
+TEST(GuestSystem, WorkerPageCacheKeepsAliasingPagesApart)
+{
+    cache::CoherentSystem cs(geo4x4(), cache::TimingParams{},
+                             cache::HomingPolicy::kAddressNode);
+    GuestSystem os(cs, NumaMode::kOff, 5);
+    mem::MainMemory &m = cs.memory();
+    constexpr std::uint64_t kPages = 256;
+    constexpr Addr kPage = GuestSystem::kPageBytes;
+    const Addr va = os.vmAlloc(kPages * kPage);
+    // The worker cache's slot for a VA page, and the plain modulo it
+    // replaced; pages that share a slot evict each other.
+    std::uint64_t (*const indexes[])(std::uint64_t) = {
+        [](std::uint64_t vpn) { return (vpn ^ (vpn >> 6)) % 64; },
+        [](std::uint64_t vpn) { return vpn % 64; },
+    };
+    for (auto slot : indexes) {
+        // Every page sharing page 0's slot, plus page 16 and page 1.
+        std::vector<Addr> pages;
+        for (std::uint64_t p = 0; p < kPages; ++p) {
+            if (slot(va / kPage + p) == slot(va / kPage))
+                pages.push_back(va + p * kPage);
+        }
+        ASSERT_GE(pages.size(), 3u);
+        pages.push_back(va + 16 * kPage);
+        pages.push_back(va + kPage);
+        auto value = [](int round, std::size_t i) {
+            return 0x1000u * static_cast<std::uint64_t>(round) + i;
+        };
+        auto offset = [](std::size_t i) { return (i * 72) % kPage; };
+        os.parallelPhase({0}, [&](Worker &w) {
+            for (int round = 1; round <= 3; ++round) {
+                for (std::size_t i = 0; i < pages.size(); ++i) {
+                    if (round > 1) {
+                        EXPECT_EQ(w.load(pages[i] + offset(i)),
+                                  value(round - 1, i));
+                    }
+                    w.store(pages[i] + offset(i), value(round, i));
+                    EXPECT_EQ(w.load(pages[0] + offset(0)),
+                              value(round, 0));
+                }
+                for (std::size_t i = pages.size(); i-- > 0;) {
+                    EXPECT_EQ(w.amoAdd(pages[i] + offset(i), 0),
+                              value(round, i));
+                }
+            }
+        });
+        for (std::size_t i = 0; i < pages.size(); ++i) {
+            EXPECT_EQ(m.load(os.translate(pages[i] + offset(i), 0), 8),
+                      value(3, i));
+        }
+    }
 }
 
 TEST(GuestSystem, StoreThroughCachedPageBumpsStampAndEpoch)

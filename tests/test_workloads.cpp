@@ -89,6 +89,36 @@ TEST(IntSort, MoreThreadsFaster)
     EXPECT_LT(r2.cycles, r1.cycles);
 }
 
+TEST(IntSort, OddShapesMatchParent)
+{
+    // Key, histogram and bucket-base arrays that end mid-page, and
+    // histogram rows that straddle pages. The figures are those of the
+    // word-at-a-time bookkeeping this run must reproduce exactly.
+    {
+        platform::Prototype proto(platform::PrototypeConfig::parse("2x1x4"));
+        auto guest = proto.makeGuest(os::NumaMode::kOff);
+        IntSortConfig cfg;
+        cfg.keys = 1000;
+        cfg.buckets = 100;
+        cfg.iterations = 2;
+        auto r = runIntSort(*guest, {0, 1, 4}, cfg);
+        EXPECT_TRUE(r.sorted);
+        EXPECT_EQ(r.cycles, 142337u);
+        EXPECT_EQ(r.remoteFraction, 489.0 / 1432.0);
+    }
+    {
+        platform::Prototype proto(platform::PrototypeConfig::parse("4x1x4"));
+        auto guest = proto.makeGuest(os::NumaMode::kOn);
+        IntSortConfig cfg;
+        cfg.keys = 3001;
+        cfg.buckets = 700;
+        auto r = runIntSort(*guest, firstTiles(5, 3), cfg);
+        EXPECT_TRUE(r.sorted);
+        EXPECT_EQ(r.cycles, 331563u);
+        EXPECT_EQ(r.remoteFraction, 2779.0 / 5566.0);
+    }
+}
+
 TEST(DaeKernels, ChecksumIndependentOfMode)
 {
     DaeConfig cfg;
