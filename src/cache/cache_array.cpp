@@ -1,5 +1,6 @@
 #include "cache/cache_array.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "snap/state_io.hpp"
@@ -12,170 +13,93 @@ CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
     : ways_(ways), lineBytes_(line_bytes)
 {
     fatalIf(ways == 0, "cache needs at least one way");
-    fatalIf(line_bytes == 0 || !std::has_single_bit(line_bytes),
-            "cache line size must be a power of two");
+    fatalIf(line_bytes < 2 || !std::has_single_bit(line_bytes),
+            "cache line size must be a power of two of at least 2 bytes");
     fatalIf(size_bytes % (static_cast<std::uint64_t>(ways) * line_bytes) != 0,
             "cache size must be a multiple of ways * line size");
     std::uint64_t sets = size_bytes / ways / line_bytes;
     fatalIf(sets == 0 || !std::has_single_bit(sets),
             "cache set count must be a nonzero power of two");
     sets_ = static_cast<std::uint32_t>(sets);
-    entries_.resize(static_cast<std::size_t>(sets_) * ways_);
-}
-
-std::uint32_t
-CacheArray::setIndex(Addr addr) const
-{
-    return static_cast<std::uint32_t>((addr / lineBytes_) & (sets_ - 1));
-}
-
-CacheArray::Entry *
-CacheArray::find(Addr addr)
-{
-    Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
-    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = entries_[base + w];
-        if (e.valid && e.line == line)
-            return &e;
-    }
-    return nullptr;
-}
-
-const CacheArray::Entry *
-CacheArray::find(Addr addr) const
-{
-    return const_cast<CacheArray *>(this)->find(addr);
-}
-
-bool
-CacheArray::lookup(Addr addr)
-{
-    Entry *e = find(addr);
-    if (!e)
-        return false;
-    e->lastUse = ++useClock_;
-    return true;
-}
-
-bool
-CacheArray::lookupIfState(Addr addr, std::uint32_t state)
-{
-    Entry *e = find(addr);
-    if (!e || e->state != state)
-        return false;
-    e->lastUse = ++useClock_;
-    return true;
-}
-
-bool
-CacheArray::probe(Addr addr) const
-{
-    return find(addr) != nullptr;
-}
-
-std::uint32_t
-CacheArray::state(Addr addr) const
-{
-    const Entry *e = find(addr);
-    panicIf(!e, "state() on non-resident line");
-    return e->state;
-}
-
-void
-CacheArray::setState(Addr addr, std::uint32_t state)
-{
-    Entry *e = find(addr);
-    panicIf(!e, "setState() on non-resident line");
-    e->state = state;
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes));
+    std::size_t entries = static_cast<std::size_t>(sets_) * ways_;
+    tags_.assign(entries, kInvalid);
+    states_.assign(entries, 0);
+    stamps_.assign(entries, 0);
 }
 
 std::optional<Victim>
-CacheArray::insert(Addr addr, std::uint32_t state)
+CacheArray::place(Addr addr, std::uint32_t state, bool if_absent)
 {
-    Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
-    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
+    Addr line = lineOf(addr);
+    std::size_t base = setBase(addr);
 
-    // One pass: check residency and pick the first invalid way, else the
-    // true-LRU one.
-    Entry *free = nullptr;
-    Entry *lru = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = entries_[base + w];
-        if (!e.valid) {
-            if (!free)
-                free = &e;
-            continue;
-        }
-        panicIf(e.line == line, "insert() of already-resident line");
-        if (!lru || e.lastUse < lru->lastUse)
-            lru = &e;
+    // One pass with selects, no data-dependent branch: a free way ranks
+    // 0 and a resident one 1 + its stamp, and the first lowest rank
+    // wins. That is the first free way, else the true-LRU one (stamps
+    // are unique and stay far below 2^64 - 1).
+    bool present = false;
+    std::size_t slot = base;
+    std::uint64_t best = ~std::uint64_t{0};
+    for (std::size_t i = base; i < base + ways_; ++i) {
+        Addr tag = tags_[i];
+        present |= tag == line;
+        std::uint64_t rank = tag == kInvalid ? 0 : stamps_[i] + 1;
+        bool lower = rank < best;
+        slot = lower ? i : slot;
+        best = lower ? rank : best;
+    }
+    if (present) {
+        panicIf(!if_absent, "insert() of already-resident line");
+        return std::nullopt;
     }
 
     std::optional<Victim> victim;
-    Entry *slot = free;
-    if (!slot) {
-        slot = lru;
-        victim = Victim{slot->line, slot->state};
-    }
-
-    slot->line = line;
-    slot->state = state;
-    slot->valid = true;
-    slot->lastUse = ++useClock_;
+    if (best != 0)
+        victim = Victim{tags_[slot], states_[slot]};
+    tags_[slot] = line;
+    states_[slot] = state;
+    stamps_[slot] = ++useClock_;
     return victim;
 }
 
 std::optional<Victim>
 CacheArray::victimFor(Addr addr) const
 {
-    Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
-    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
-    const Entry *lru = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const Entry &e = entries_[base + w];
-        if (!e.valid || e.line == line)
+    Addr line = lineOf(addr);
+    std::size_t base = setBase(addr);
+    std::size_t lru = kNone;
+    for (std::size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == kInvalid || tags_[i] == line)
             return std::nullopt;
-        if (!lru || e.lastUse < lru->lastUse)
-            lru = &e;
+        if (lru == kNone || stamps_[i] < stamps_[lru])
+            lru = i;
     }
-    return Victim{lru->line, lru->state};
-}
-
-std::optional<std::uint32_t>
-CacheArray::invalidate(Addr addr)
-{
-    Entry *e = find(addr);
-    if (!e)
-        return std::nullopt;
-    e->valid = false;
-    return e->state;
+    return Victim{tags_[lru], states_[lru]};
 }
 
 void
 CacheArray::flush()
 {
-    for (Entry &e : entries_)
-        e.valid = false;
+    std::fill(tags_.begin(), tags_.end(), kInvalid);
 }
 
 void
 CacheArray::forEachLine(
     const std::function<void(Addr, std::uint32_t)> &fn) const
 {
-    for (const Entry &e : entries_) {
-        if (e.valid)
-            fn(e.line, e.state);
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        if (tags_[i] != kInvalid)
+            fn(tags_[i], states_[i]);
     }
 }
 
 std::uint64_t
 CacheArray::occupancy() const
 {
-    std::uint64_t n = 0;
-    for (const Entry &e : entries_)
-        n += e.valid ? 1 : 0;
-    return n;
+    return static_cast<std::uint64_t>(tags_.size()) -
+           static_cast<std::uint64_t>(
+               std::count(tags_.begin(), tags_.end(), kInvalid));
 }
 
 void
@@ -185,13 +109,14 @@ CacheArray::saveState(snap::Writer &w) const
     w.u32(ways_);
     w.u32(lineBytes_);
     w.u64(useClock_);
-    for (const Entry &e : entries_) {
-        w.boolean(e.valid);
-        if (!e.valid)
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        bool valid = tags_[i] != kInvalid;
+        w.boolean(valid);
+        if (!valid)
             continue;
-        w.u64(e.line);
-        w.u32(e.state);
-        w.u64(e.lastUse);
+        w.u64(tags_[i]);
+        w.u32(states_[i]);
+        w.u64(stamps_[i]);
     }
 }
 
@@ -206,15 +131,16 @@ CacheArray::restoreState(snap::Reader &r)
                    "live array's %ux%u/%uB",
                    sets, ways, line_bytes, sets_, ways_, lineBytes_));
     useClock_ = r.u64();
-    for (Entry &e : entries_) {
-        e.valid = r.boolean();
-        if (!e.valid) {
-            e = Entry{};
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        if (!r.boolean()) {
+            tags_[i] = kInvalid;
+            states_[i] = 0;
+            stamps_[i] = 0;
             continue;
         }
-        e.line = r.u64();
-        e.state = r.u32();
-        e.lastUse = r.u64();
+        tags_[i] = r.u64();
+        states_[i] = r.u32();
+        stamps_[i] = r.u64();
     }
 }
 

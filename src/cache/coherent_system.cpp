@@ -1,6 +1,7 @@
 #include "cache/coherent_system.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "obs/tracer.hpp"
@@ -27,8 +28,6 @@ const sim::StatId kBpcWritebacks("cs.bpc.writebacks");
 const sim::StatId kBpcCleanEvicts("cs.bpc.cleanEvicts");
 const sim::StatId kDeviceStores("cs.device.stores");
 const sim::StatId kDeviceLoads("cs.device.loads");
-const sim::StatId kL1Hits("cs.l1.hits");
-const sim::StatId kL1StoreHits("cs.l1.storeHits");
 const sim::StatId kCdrUncachedRemote("cs.cdr.uncachedRemote");
 const sim::StatId kNcAccesses("cs.nc.accesses");
 const sim::StatId kBpcHits("cs.bpc.hits");
@@ -61,12 +60,22 @@ mixLine(Addr line)
 
 } // namespace
 
+const sim::StatId CoherentSystem::kL1Hits("cs.l1.hits");
+const sim::StatId CoherentSystem::kL1StoreHits("cs.l1.storeHits");
+
 CoherentSystem::CoherentSystem(const Geometry &geo, const TimingParams &timing,
                                HomingPolicy homing, sim::StatRegistry *stats)
-    : geo_(geo), timing_(timing), homing_(homing), topo_(geo.tilesPerNode)
+    : geo_(geo), timing_(timing), homing_(homing), topo_(geo.tilesPerNode),
+      memShift_(std::has_single_bit(geo.memPerNode)
+                    ? static_cast<unsigned>(std::countr_zero(geo.memPerNode))
+                    : 64),
+      nodeMod_(std::max(geo.nodes, 1u)),
+      tileMod_(std::max(geo.tilesPerNode, 1u)),
+      globalTileMod_(std::max(geo.totalTiles(), 1u))
 {
     fatalIf(geo.nodes == 0 || geo.tilesPerNode == 0,
             "system needs at least one node and one tile");
+    fatalIf(geo.memPerNode == 0, "system needs memory on every node");
     fatalIf(geo.totalTiles() > 64,
             "directory sharer mask supports at most 64 tiles");
 
@@ -108,7 +117,9 @@ NodeId
 CoherentSystem::addrNode(Addr addr) const
 {
     Addr rel = addr >= geo_.dramBase ? addr - geo_.dramBase : 0;
-    return static_cast<NodeId>((rel / geo_.memPerNode) % geo_.nodes);
+    std::uint64_t chunk =
+        memShift_ < 64 ? rel >> memShift_ : rel / geo_.memPerNode;
+    return static_cast<NodeId>(nodeMod_(chunk));
 }
 
 std::pair<NodeId, TileId>
@@ -118,16 +129,16 @@ CoherentSystem::homeOf(Addr addr) const
     switch (homing_) {
       case HomingPolicy::kAddressNode: {
           NodeId node = addrNode(line);
-          auto tile = static_cast<TileId>(mixLine(line) % geo_.tilesPerNode);
+          auto tile = static_cast<TileId>(tileMod_(mixLine(line)));
           return {node, tile};
       }
       case HomingPolicy::kGlobalHash: {
           auto gid =
-              static_cast<GlobalTileId>(mixLine(line) % geo_.totalTiles());
+              static_cast<GlobalTileId>(globalTileMod_(mixLine(line)));
           return {nodeOf(gid), tileOf(gid)};
       }
       case HomingPolicy::kNode0: {
-          auto tile = static_cast<TileId>(mixLine(line) % geo_.tilesPerNode);
+          auto tile = static_cast<TileId>(tileMod_(mixLine(line)));
           return {0, tile};
       }
       case HomingPolicy::kCoherenceDomains: {
@@ -135,7 +146,7 @@ CoherentSystem::homeOf(Addr addr) const
           // SMAPPIC default; the restriction acts on out-of-domain
           // requesters (see access()).
           NodeId node = addrNode(line);
-          auto tile = static_cast<TileId>(mixLine(line) % geo_.tilesPerNode);
+          auto tile = static_cast<TileId>(tileMod_(mixLine(line)));
           return {node, tile};
       }
     }
@@ -148,11 +159,35 @@ CoherentSystem::addDevice(Addr base, std::uint64_t size, GlobalTileId gid,
 {
     fatalIf(dev == nullptr, "device window without a device");
     fatalIf(gid >= geo_.totalTiles(), "device attached to unknown tile");
+    fatalIf(size == 0, "empty device window");
     for (const auto &w : devices_) {
         bool disjoint = base + size <= w.base || w.base + w.size <= base;
         fatalIf(!disjoint, "device windows overlap");
     }
     devices_.push_back(DeviceWindow{base, size, gid, dev});
+    std::sort(devices_.begin(), devices_.end(),
+              [](const DeviceWindow &a, const DeviceWindow &b) {
+                  return a.base < b.base;
+              });
+    devicesEnd_ = std::max(devicesEnd_, base + size);
+}
+
+const CoherentSystem::DeviceWindow *
+CoherentSystem::deviceAt(Addr addr) const
+{
+    // Past the highest window's end (all DRAM, unless a window sits in
+    // it) no window holds @p addr. Below it, as the windows are disjoint
+    // and sorted by base, only the last one starting at or below @p addr
+    // can.
+    if (addr >= devicesEnd_)
+        return nullptr;
+    auto it = std::upper_bound(
+        devices_.begin(), devices_.end(), addr,
+        [](Addr a, const DeviceWindow &w) { return a < w.base; });
+    if (it == devices_.begin())
+        return nullptr;
+    --it;
+    return addr - it->base < it->size ? &*it : nullptr;
 }
 
 Cycles
@@ -403,12 +438,10 @@ CoherentSystem::privateFill(Addr line, GlobalTileId gid, std::uint32_t state,
     }
     maybeClearStale(line, gid); // A proper refill ends any stale episode.
 
-    if (fill_l1i) {
+    if (fill_l1i)
         l1i_[gid].insert(line, kShared);
-    } else {
-        if (!l1d_[gid].probe(line))
-            l1d_[gid].insert(line, kShared);
-    }
+    else
+        l1d_[gid].insertIfAbsent(line, kShared);
 }
 
 AccessResult
@@ -438,85 +471,26 @@ CoherentSystem::deviceAccess(const DeviceWindow &w, GlobalTileId gid,
     return AccessResult{t - now, ServiceLevel::kDevice, crossed};
 }
 
-bool
-CoherentSystem::fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
-{
-    // Any armed test mutation routes everything down the slow path: the
-    // stale-copy bookkeeping (stalePeek) lives there.
-    if (mutation_ != TestMutation::kNone)
-        return false;
-    // lookup() touches the LRU on a hit — the identical (checkpointed)
-    // side effect the slow path's hit branch performs — and mutates
-    // nothing on a miss.
-    if (!l1i_[gid].lookup(addr))
-        return false;
-    stats_->counter(kL1Hits).increment();
-    lat = timing_.l1HitLatency;
-    return true;
-}
-
-bool
-CoherentSystem::loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
-{
-    // Bail conditions mirror fetchFastHit, plus the observer: armed
-    // mutations need the slow path's stale-copy bookkeeping, and an
-    // attached coherence checker contracts to see full transitions.
-    // (Hit branches never notify observers even on the slow path, so
-    // the observer bail is belt and braces, not a parity requirement.)
-    if (mutation_ != TestMutation::kNone || observer_ != nullptr)
-        return false;
-    // lookup() touches the LRU on a hit — the identical (checkpointed)
-    // side effect the slow path's L1 hit branch performs — and mutates
-    // nothing on a miss.
-    if (!l1d_[gid].lookup(addr))
-        return false;
-    stats_->counter(kL1Hits).increment();
-    lat = timing_.l1HitLatency;
-    return true;
-}
-
-bool
-CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
-{
-    if (mutation_ != TestMutation::kNone || observer_ != nullptr)
-        return false;
-    Addr line = lineAlign(addr);
-    // One scan settles presence + M state and performs the slow path's
-    // exact BPC LRU touch; a miss or non-M state mutates nothing. The
-    // discarded-result lookup matches the slow path's probe-then-touch
-    // pair: LRU moves only when the line is resident.
-    if (!bpc_[gid].lookupIfState(line, kModified))
-        return false;
-    l1d_[gid].lookup(line);
-    stats_->counter(kL1StoreHits).increment();
-    lat = timing_.l1HitLatency;
-    return true;
-}
-
 AccessResult
 CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
                        std::uint32_t bytes, Cycles now)
 {
     panicIf(gid >= geo_.totalTiles(), "access from unknown tile");
     Addr line = lineAlign(addr);
-    NodeId my_node = nodeOf(gid);
-    TileId my_tile = tileOf(gid);
 
     // Device windows capture all access types (BYOC treats device space as
     // non-cacheable). Devices are shared platform state: a confined node
     // phase never reaches one.
-    for (const auto &w : devices_) {
-        if (addr >= w.base && addr - w.base < w.size) {
-            sim::yieldIfConfined();
-            return deviceAccess(w, gid, addr, type, bytes, now);
-        }
+    if (const DeviceWindow *w = deviceAt(addr)) {
+        sim::yieldIfConfined();
+        return deviceAccess(*w, gid, addr, type, bytes, now);
     }
 
     // Coherence Domain Restriction: a requester outside the line's
     // domain may not cache it; its loads/stores become uncached remote
     // memory operations.
     if (homing_ == HomingPolicy::kCoherenceDomains &&
-        addrNode(addr) != my_node &&
+        addrNode(addr) != nodeOf(gid) &&
         (type == AccessType::kLoad || type == AccessType::kStore ||
          type == AccessType::kFetch || type == AccessType::kAtomic)) {
         sim::yieldIfConfined(); // Remote memory controller.
@@ -529,6 +503,8 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     // Explicit NC accesses to plain memory go straight to the owning
     // node's memory controller (used by the virtual SD card).
     if (type == AccessType::kNcLoad || type == AccessType::kNcStore) {
+        NodeId my_node = nodeOf(gid);
+        TileId my_tile = tileOf(gid);
         NodeId dn = addrNode(addr);
         if (dn != my_node)
             sim::yieldIfConfined();
@@ -563,10 +539,8 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
         // Write-through L1: a store completes at L1 speed only when the
         // BPC already holds the line in M (the store buffer hides the
         // write-through).
-        if (bpc_[gid].probe(line) && bpc_[gid].state(line) == kModified) {
-            bpc_[gid].lookup(line);
-            if (l1.probe(line))
-                l1.lookup(line);
+        if (bpc_[gid].lookupIfState(line, kModified)) {
+            l1.lookup(line);
             stats_->counter(kL1StoreHits).increment();
             return AccessResult{timing_.l1HitLatency, ServiceLevel::kL1,
                                 false};
@@ -576,8 +550,7 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     // --- BPC hit path (loads/fetches with at least S) ---
     if ((type == AccessType::kLoad || type == AccessType::kFetch) &&
         bpc_[gid].lookup(line)) {
-        if (!l1.probe(line))
-            l1.insert(line, kShared);
+        l1.insertIfAbsent(line, kShared);
         stats_->counter(kBpcHits).increment();
         AccessResult res{timing_.l1MissDetect + timing_.privLatency,
                          ServiceLevel::kPrivate, false};
@@ -593,6 +566,8 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     if (sim::confinedPhase() && !missStaysOnNode(gid, line, type))
         throw sim::NodeYield{};
     stats_->counter(kBpcMisses).increment();
+    NodeId my_node = nodeOf(gid);
+    TileId my_tile = tileOf(gid);
     auto [hn, ht] = homeOf(line);
     GlobalTileId home_gid = gidOf(hn, ht);
     bool crossed = false;
@@ -651,7 +626,9 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
               stats_->counter(kMutationDroppedOwnerUpdates).increment();
           else
               dir.owner = static_cast<std::int32_t>(gid);
-          if (bpc_[gid].probe(line)) {
+          // Nothing above drops this line from the requester's BPC: the
+          // recall keeps its copy and an LLC victim is another line.
+          if (upgrade) {
               bpc_[gid].setState(line, kModified);
               bpc_[gid].lookup(line);
               maybeClearStale(line, gid); // Upgrade re-acquires the line.

@@ -28,6 +28,7 @@
 #include "cache/line_table.hpp"
 #include "mem/main_memory.hpp"
 #include "noc/topology.hpp"
+#include "sim/fast_mod.hpp"
 #include "sim/server.hpp"
 #include "sim/stats.hpp"
 #include "sim/types.hpp"
@@ -306,7 +307,22 @@ class CoherentSystem
      * neither a device window nor CDR-remote — those never fill the L1I
      * — so the skipped prefix of access() is provably side-effect-free.
      */
-    bool fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat);
+    bool
+    fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
+    {
+        // Any armed test mutation routes everything down the slow path:
+        // the stale-copy bookkeeping (stalePeek) lives there.
+        if (mutation_ != TestMutation::kNone)
+            return false;
+        // lookup() touches the LRU on a hit — the identical
+        // (checkpointed) side effect the slow path's hit branch performs
+        // — and mutates nothing on a miss.
+        if (!l1i_[gid].lookup(addr))
+            return false;
+        stats_->counter(kL1Hits).increment();
+        lat = timing_.l1HitLatency;
+        return true;
+    }
 
     /**
      * Data fast path for scalar loads: when @p addr hits @p gid's L1D,
@@ -321,7 +337,23 @@ class CoherentSystem
      * window nor NC nor CDR-remote — none of those ever fill the L1D —
      * so the skipped prefix of access() is provably side-effect-free.
      */
-    bool loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat);
+    bool
+    loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
+    {
+        // Bail conditions mirror fetchFastHit, plus the observer: armed
+        // mutations need the slow path's stale-copy bookkeeping, and an
+        // attached coherence checker contracts to see full transitions.
+        // (Hit branches never notify observers even on the slow path, so
+        // the observer bail is belt and braces, not a parity
+        // requirement.)
+        if (mutation_ != TestMutation::kNone || observer_ != nullptr)
+            return false;
+        if (!l1d_[gid].lookup(addr))
+            return false;
+        stats_->counter(kL1Hits).increment();
+        lat = timing_.l1HitLatency;
+        return true;
+    }
 
     /**
      * Data fast path for scalar stores: when @p gid's BPC already owns
@@ -334,7 +366,23 @@ class CoherentSystem
      * full access(). M ownership implies exclusivity, so no recall,
      * directory or tracer activity is skipped.
      */
-    bool storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat);
+    bool
+    storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
+    {
+        if (mutation_ != TestMutation::kNone || observer_ != nullptr)
+            return false;
+        Addr line = lineAlign(addr);
+        // One scan settles presence + M state and performs the slow
+        // path's exact BPC LRU touch; a miss or non-M state mutates
+        // nothing. The discarded-result L1D lookup moves LRU only when
+        // the line is resident, as on the slow path.
+        if (!bpc_[gid].lookupIfState(line, kModified))
+            return false;
+        l1d_[gid].lookup(line);
+        stats_->counter(kL1StoreHits).increment();
+        lat = timing_.l1HitLatency;
+        return true;
+    }
 
     /** Functional backing store (data plane). */
     mem::MainMemory &memory() { return memory_; }
@@ -438,6 +486,11 @@ class CoherentSystem
     // Short aliases for the public line states. LLC aux word bit 0 = dirty.
     static constexpr std::uint32_t kShared = kLineShared;
     static constexpr std::uint32_t kModified = kLineModified;
+
+    // The hit counters the inline fast paths bump (the rest are local to
+    // coherent_system.cpp).
+    static const sim::StatId kL1Hits;
+    static const sim::StatId kL1StoreHits;
 
     struct DirEntry
     {
@@ -548,6 +601,9 @@ class CoherentSystem
      */
     bool missStaysOnNode(GlobalTileId gid, Addr line, AccessType type);
 
+    /** The device window holding @p addr, or null. */
+    const DeviceWindow *deviceAt(Addr addr) const;
+
     AccessResult deviceAccess(const DeviceWindow &w, GlobalTileId gid,
                               Addr addr, AccessType type, std::uint32_t bytes,
                               Cycles now);
@@ -563,6 +619,14 @@ class CoherentSystem
     TimingParams timing_;
     HomingPolicy homing_;
     noc::MeshTopology topo_;
+
+    // The homing arithmetic without divide instructions (every miss runs
+    // several): log2 of memPerNode when it is a power of two, else 64;
+    // remainders by the node, per-node tile and total tile counts.
+    unsigned memShift_;
+    sim::FastMod nodeMod_;
+    sim::FastMod tileMod_;
+    sim::FastMod globalTileMod_;
 
     mem::MainMemory memory_;
     /** The MESI directory, one shard per home node: shard N holds the
@@ -583,7 +647,8 @@ class CoherentSystem
     std::vector<sim::TrafficShaper> bridgeIn_;
     std::vector<sim::TrafficShaper> pcieOut_;
 
-    std::vector<DeviceWindow> devices_;
+    std::vector<DeviceWindow> devices_; ///< Disjoint, sorted by base.
+    Addr devicesEnd_ = 0; ///< End of the highest window.
 
     CoherenceObserver *observer_ = nullptr;
 

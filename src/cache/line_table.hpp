@@ -52,19 +52,31 @@ class LineTable
     Entry &
     insert(Addr line)
     {
-        if (Entry *entry = find(line))
-            return *entry;
+        // One walk of @p line's probe run finds its slot or, when it is
+        // absent, where it belongs: the run's first slot that holds no
+        // line (its first tombstone, else the empty slot ending it).
+        std::size_t i = 0;
+        std::size_t hole = kNoSlot;
+        if (!slots_.empty()) {
+            for (i = homeSlot(line); slots_[i].key != kEmpty; i = next(i)) {
+                if (slots_[i].key == line)
+                    return slots_[i].entry;
+                if (hole == kNoSlot && slots_[i].key == kTombstone)
+                    hole = i;
+            }
+            if (hole != kNoSlot)
+                i = hole;
+        }
         // At most half the slots hold lines and at most three quarters
-        // are not empty, so probe runs stay short and always end.
-        if ((live_ + 1) * 2 > slots_.size())
+        // are not empty, so probe runs stay short and always end. Both
+        // rebuilds move lines, so the walk is redone after them.
+        if ((live_ + 1) * 2 > slots_.size()) {
             grow();
-        else if ((live_ + tombstones_ + 1) * 4 > slots_.size() * 3)
+            i = firstFree(line);
+        } else if ((live_ + tombstones_ + 1) * 4 > slots_.size() * 3) {
             purge();
-        // @p line is absent, so the first slot of its run that holds no
-        // line is where it belongs.
-        std::size_t i = homeSlot(line);
-        while (isLine(slots_[i].key))
-            i = next(i);
+            i = firstFree(line);
+        }
         if (slots_[i].key == kTombstone)
             --tombstones_;
         slots_[i] = Slot{line, Entry{}};
@@ -118,6 +130,7 @@ class LineTable
     static constexpr Addr kEmpty = 1;
     static constexpr Addr kTombstone = 2;
     static constexpr Addr kUnplaced = 4; ///< Marks a line during purge().
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     static bool isLine(Addr key) { return (key & 7) == 0; }
 
@@ -132,6 +145,16 @@ class LineTable
     next(std::size_t i) const
     {
         return (i + 1) & (slots_.size() - 1);
+    }
+
+    /** First slot of absent @p line's probe run that holds no line. */
+    std::size_t
+    firstFree(Addr line) const
+    {
+        std::size_t i = homeSlot(line);
+        while (isLine(slots_[i].key))
+            i = next(i);
+        return i;
     }
 
     /** Index of @p line's slot, or of the empty slot that ends its probe

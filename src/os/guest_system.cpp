@@ -155,8 +155,8 @@ struct GuestSystem::PhaseScheduler
     };
 
     FiberContext main;
+    GuestSystem *os = nullptr;
     Task *current = nullptr;
-    Cycles threshold = ~Cycles{0};
     Cycles quantum = 0;
     std::exception_ptr error; ///< The exception a fiber threw, if any.
     std::vector<std::unique_ptr<Task>> tasks;
@@ -174,9 +174,10 @@ struct GuestSystem::PhaseScheduler
     }
 
     /**
-     * Makes the lagging suspended task current, with a threshold one
-     * quantum past the next-lagging one's clock (no limit when it is
-     * alone). Null when no task is suspended.
+     * Makes the lagging suspended task current and the GuestSystem's
+     * running worker, with a threshold one quantum past the
+     * next-lagging one's clock (no limit when it is alone). Null when no
+     * task is suspended.
      */
     Task *
     pickNext()
@@ -186,9 +187,10 @@ struct GuestSystem::PhaseScheduler
         std::pop_heap(runnable.begin(), runnable.end(), after);
         current = runnable.back();
         runnable.pop_back();
-        threshold = runnable.empty()
-                        ? ~Cycles{0}
-                        : runnable.front()->worker.clock_ + quantum;
+        os->running_ = &current->worker;
+        os->yieldAt_ = runnable.empty()
+                           ? ~Cycles{0}
+                           : runnable.front()->worker.clock_ + quantum;
         return current;
     }
 
@@ -297,14 +299,11 @@ struct GuestSystem::PhaseScheduler
 };
 
 void
-Worker::maybeYield()
+Worker::yieldPastThreshold()
 {
-    GuestSystem::PhaseScheduler *s = os_.scheduler_;
-    if (!s || !s->current || &s->current->worker != this)
-        return;
-    if (clock_ <= s->threshold)
-        return;
-    s->yield();
+    // A worker a phase body made for itself runs on its own clock.
+    if (os_.running_ == this)
+        os_.scheduler_->yield();
 }
 
 NodeId
@@ -552,6 +551,7 @@ GuestSystem::parallelPhase(const std::vector<GlobalTileId> &tiles,
         fiberStacks_.push_back(std::move(stack));
     }
     PhaseScheduler sched;
+    sched.os = this;
     sched.quantum = quantum_;
     sched.tasks.reserve(tiles.size());
     sched.runnable.reserve(tiles.size());
@@ -572,6 +572,8 @@ GuestSystem::parallelPhase(const std::vector<GlobalTileId> &tiles,
     scheduler_ = &sched;
     switchTo(sched.main, sched.pickNext()->ctx);
     scheduler_ = nullptr;
+    running_ = nullptr;
+    yieldAt_ = ~Cycles{0};
     if (sched.error)
         std::rethrow_exception(sched.error);
 

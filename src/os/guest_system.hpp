@@ -130,8 +130,13 @@ class Worker
 
     /** Hands control to the lagging worker's fiber when this worker's
      *  clock has run a quantum past it (keeps shared-resource arrival
-     *  times approximately sorted). */
+     *  times approximately sorted). One compare below the threshold;
+     *  defined after GuestSystem. */
     void maybeYield();
+
+    /** maybeYield() past the running worker's threshold: yields when
+     *  this worker is the running one. */
+    void yieldPastThreshold();
 
     GuestSystem &os_;
     GlobalTileId tile_;
@@ -231,6 +236,10 @@ class GuestSystem
     friend class Worker;
     struct PhaseScheduler;
     PhaseScheduler *scheduler_ = nullptr;
+    /** The worker whose fiber runs, and the clock past which it yields;
+     *  null and no limit outside a phase. Set by the scheduler's pick. */
+    Worker *running_ = nullptr;
+    Cycles yieldAt_ = ~Cycles{0};
     /** Fiber stacks, one per task of the widest phase so far; every
      *  phase reuses them. */
     std::vector<std::unique_ptr<std::uint8_t[]>> fiberStacks_;
@@ -238,5 +247,14 @@ class GuestSystem
     /** Virtual-time quantum between scheduler yields within a phase. */
     Cycles quantum_ = 150;
 };
+
+inline void
+Worker::maybeYield()
+{
+    // Whether this is the running worker is asked only past the
+    // threshold; outside a phase there is none.
+    if (clock_ > os_.yieldAt_) [[unlikely]]
+        yieldPastThreshold();
+}
 
 } // namespace smappic::os

@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "riscv/isa.hpp"
 #include "sim/types.hpp"
@@ -101,9 +100,15 @@ class DecodeCache
     };
 
     explicit DecodeCache(const DecodeCacheConfig &cfg);
+    ~DecodeCache();
+
+    // entries_ may point into the object itself (placeholder_).
+    DecodeCache(const DecodeCache &) = delete;
+    DecodeCache &operator=(const DecodeCache &) = delete;
 
     bool enabled() const { return enabled_; }
-    std::uint32_t sets() const { return mask_ + 1; }
+    /** The configured entry count, also before the table exists. */
+    std::uint32_t sets() const { return sets_; }
 
     /**
      * Returns the live entry for @p pc, or nullptr. A tag match with a
@@ -149,6 +154,8 @@ class DecodeCache
     {
         if (!enabled_ || ref.stamp == nullptr)
             return;
+        if (entries_ == &placeholder_) [[unlikely]]
+            allocate();
         Entry &e = entries_[(pc >> 2) & mask_];
         e.pc = pc;
         e.word = word;
@@ -172,12 +179,21 @@ class DecodeCache
     const DecodeCacheStats &stats() const { return stats_; }
 
   private:
+    /** Builds the full table (the first fill does). */
+    void allocate();
+
     bool enabled_;
     bool ignoreStaleStamps_ = false;
+    std::uint32_t sets_ = 1;
+    /** Index mask into entries_: 0 while it is the placeholder. */
     std::uint32_t mask_ = 0;
     std::uint64_t gen_ = 0;
     DecodeCacheStats stats_;
-    std::vector<Entry> entries_;
+    /** The one invalid entry find() reads until the table exists, and
+     *  for good when the cache is off. */
+    Entry placeholder_{};
+    /** &placeholder_, or the sets_-entry table allocate() mapped. */
+    Entry *entries_ = &placeholder_;
 };
 
 } // namespace smappic::riscv

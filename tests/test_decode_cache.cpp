@@ -151,6 +151,29 @@ TEST(DecodeCacheUnit, ConflictingPcEvictsTheOldEntry)
     EXPECT_EQ(dc.find(a), nullptr);
 }
 
+TEST(DecodeCacheUnit, TableIsBuiltByTheFirstFill)
+{
+    std::atomic<std::uint64_t> stamp{0};
+    riscv::DecodeCache dc = makeCache(64);
+    EXPECT_EQ(dc.sets(), 64u);
+    // No table yet: a counted miss, and the configured size stands.
+    EXPECT_EQ(dc.find(0x1000), nullptr);
+    EXPECT_EQ(dc.stats().misses, 1u);
+    EXPECT_EQ(dc.sets(), 64u);
+
+    riscv::CodeRef ref{&stamp, stamp.load()};
+    dc.fill(0x1000, kAddiWord, riscv::decode(kAddiWord), ref);
+    dc.fill(0x1004, kAddiWord, riscv::decode(kAddiWord), ref);
+    // Both hit, so they sit in different entries of a full-size table.
+    EXPECT_NE(dc.find(0x1000), nullptr);
+    EXPECT_NE(dc.find(0x1004), nullptr);
+    EXPECT_EQ(dc.stats().misses, 1u);
+    EXPECT_EQ(dc.sets(), 64u);
+    // And pcs 64 entries apart still share one.
+    dc.fill(0x1000 + 64 * 4, kAddiWord, riscv::decode(kAddiWord), ref);
+    EXPECT_EQ(dc.find(0x1000), nullptr);
+}
+
 TEST(DecodeCacheUnit, NonPowerOfTwoSetCountFatals)
 {
     riscv::DecodeCacheConfig cfg;

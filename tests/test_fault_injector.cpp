@@ -14,6 +14,7 @@
 #include "pcie/pcie_fabric.hpp"
 #include "sim/fault.hpp"
 #include "sim/log.hpp"
+#include "sim/random.hpp"
 
 namespace smappic
 {
@@ -36,6 +37,32 @@ TEST(Crc32, SeedChainingEqualsConcatenation)
     std::uint32_t whole = sim::crc32(data, 16);
     std::uint32_t chained = sim::crc32(data + 7, 9, sim::crc32(data, 7));
     EXPECT_EQ(whole, chained);
+}
+
+TEST(Crc32, MatchesTheBitwiseDefinition)
+{
+    // The bit-at-a-time reflected CRC-32 the table is built from, over
+    // checkpoint-sized buffers, odd lengths and chained seeds.
+    auto bitwise = [](const std::uint8_t *data, std::size_t len,
+                      std::uint32_t seed) {
+        std::uint32_t crc = ~seed;
+        for (std::size_t i = 0; i < len; ++i) {
+            crc ^= data[i];
+            for (int b = 0; b < 8; ++b)
+                crc = (crc >> 1) ^ (0xedb88320u & (~(crc & 1u) + 1u));
+        }
+        return ~crc;
+    };
+    sim::Xoroshiro rng(9);
+    std::vector<std::uint8_t> data(40000);
+    for (auto &b : data)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t len : {0, 1, 7, 64, 4097, 40000}) {
+        auto seed = static_cast<std::uint32_t>(rng.next());
+        EXPECT_EQ(sim::crc32(data.data(), len, seed),
+                  bitwise(data.data(), len, seed))
+            << "len " << len;
+    }
 }
 
 TEST(Crc32, DetectsSingleBitFlip)

@@ -333,6 +333,57 @@ TEST(Prototype, AcceleratorRegistration)
     EXPECT_EQ(gng.samplesServed(), 2u);
 }
 
+TEST(Prototype, DeviceWindowEdgesOnTwoNodes)
+{
+    // Every window of a 2-node prototype: each byte just outside a
+    // window and the first and last byte inside it. With 2 GiB per node
+    // the accelerator windows sit inside node 0's DRAM range.
+    PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
+    cfg.memPerNode = 2ULL << 30;
+    Prototype proto(cfg);
+    proto.addGng(1);
+    proto.addMaple(2);
+    struct Window
+    {
+        Addr base;
+        std::uint64_t size;
+    };
+    std::vector<Window> windows = {{kClintBase, kClintSize},
+                                   {kPlicBase, kPlicSize},
+                                   {proto.accelWindow(1), kAccelStride},
+                                   {proto.accelWindow(2), kAccelStride}};
+    for (Addr n = 0; n < 2; ++n) {
+        windows.push_back({kSdMmioBase + n * kSdMmioStride, kSdMmioStride});
+        for (Addr u = 0; u < 2; ++u) {
+            windows.push_back(
+                {kUartBase + n * kUartNodeStride + u * kUartStride,
+                 kUartStride});
+        }
+    }
+    auto inside = [&](Addr addr) {
+        for (const Window &w : windows) {
+            if (addr >= w.base && addr - w.base < w.size)
+                return true;
+        }
+        return false;
+    };
+    ASSERT_GE(proto.accelWindow(1), kDramBase);
+    ASSERT_LT(proto.accelWindow(2) + kAccelStride, kDramBase + cfg.memPerNode);
+
+    cache::CoherentSystem &cs = proto.memorySystem();
+    Cycles now = 0;
+    for (const Window &w : windows) {
+        for (Addr addr : {w.base - 1, w.base, w.base + w.size - 1,
+                          w.base + w.size}) {
+            // Stores: a MAPLE window refuses loads with an empty queue.
+            auto r = cs.access(0, addr, cache::AccessType::kStore, 1, now);
+            now += r.latency;
+            EXPECT_EQ(r.level == cache::ServiceLevel::kDevice, inside(addr))
+                << std::hex << "0x" << addr;
+        }
+    }
+}
+
 } // namespace
 } // namespace smappic::platform
 

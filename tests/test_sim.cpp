@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/fast_mod.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/server.hpp"
@@ -132,6 +133,31 @@ TEST(Random, UniformCoversUnitInterval)
     }
     EXPECT_LT(lo, 0.01);
     EXPECT_GT(hi, 0.99);
+}
+
+TEST(FastMod, MatchesTheRemainderOperator)
+{
+    // Small divisors (node and tile counts), powers of two and their
+    // neighbours, and large ones; numerators at the edges and at random.
+    std::vector<std::uint64_t> divisors = {1,  2,  3,  4,  5,  7,  12, 16,
+                                           48, 63, 64, 65, 1000003};
+    for (int b = 20; b < 64; b += 7) {
+        divisors.push_back((1ULL << b) - 1);
+        divisors.push_back(1ULL << b);
+        divisors.push_back((1ULL << b) + 1);
+    }
+    divisors.push_back(~0ULL);
+    Xoroshiro rng(11);
+    for (std::uint64_t d : divisors) {
+        FastMod mod(d);
+        EXPECT_EQ(mod.divisor(), d);
+        std::vector<std::uint64_t> xs = {0, 1, d - 1, d, d + 1, ~0ULL,
+                                         ~0ULL - 1, 1ULL << 63};
+        for (int i = 0; i < 2000; ++i)
+            xs.push_back(rng.next() >> rng.below(64));
+        for (std::uint64_t x : xs)
+            ASSERT_EQ(mod(x), x % d) << "x " << x << " d " << d;
+    }
 }
 
 TEST(Stats, SummaryMoments)
