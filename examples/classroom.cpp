@@ -90,14 +90,14 @@ main(int argc, char **argv)
     for (int f = 0; f < fpgas; ++f) {
         platform::PrototypeConfig cfg =
             platform::PrototypeConfig::parse("1x4x2");
-        cfg.interNodeInterconnect = false; // Independent student nodes.
         platform::Prototype proto(cfg);
         for (int slot = 0; slot < 4; ++slot) {
             int s = f * 4 + slot;
             if (s >= students)
                 break;
-            // Students get rotating submission archetypes.
-            proto.loadSource(submission(s % 3, kAssignedN));
+            // Students get rotating submission archetypes. Every node
+            // gets its own copy, so a student's run stays on its node.
+            proto.loadSourceReplicated(submission(s % 3, kAssignedN));
             GlobalTileId core = static_cast<GlobalTileId>(slot) * 2;
             proto.runCore(core, 100000);
             bool ok = proto.core(core).exited() &&

@@ -65,7 +65,7 @@ InterNodeBridge::InterNodeBridge(NodeId node, FpgaId fpga, Addr window_base,
       fabric_(fabric), cfg_(cfg), stats_(stats)
 {
     fatalIf(cfg.creditsPerNoc == 0, "bridge needs at least one credit");
-    fatalIf(cfg.reliability.enabled && cfg.reliability.replayDepth == 0,
+    fatalIf(cfg.reliability.enabled && cfg.replayDepth == 0,
             "reliable bridge needs a nonzero replay window");
     fabric_.addWindow(window_base, cfg.windowSize, this, fpga,
                       strfmt("bridge.node%u", node));
@@ -163,7 +163,7 @@ InterNodeBridge::pump()
             continue;
         }
         if (reliable() &&
-            peer.replay.size() >= cfg_.reliability.replayDepth) {
+            peer.replay.size() >= cfg_.replayDepth) {
             // Replay window full: the next ACK restarts the pump.
             continue;
         }
@@ -293,8 +293,8 @@ InterNodeBridge::scheduleRetransmit(NodeId dst)
     if (peer.retransmitScheduled || peer.degraded)
         return;
     peer.retransmitScheduled = true;
-    Cycles backoff = cfg_.reliability.ackTimeout
-                     << std::min<std::uint32_t>(peer.backoffLevel, 8);
+    Cycles backoff =
+        replayBackoff(cfg_.reliability.ackTimeout, peer.backoffLevel);
     eq_.schedule(backoff, [this, dst] {
         PeerState &p = peers_.at(dst);
         p.retransmitScheduled = false;
@@ -432,7 +432,7 @@ InterNodeBridge::onCreditFailure(NodeId peer_id)
         scheduleProbe(peer_id);
         return;
     }
-    if (peer.creditFailures >= cfg_.reliability.creditRetryLimit) {
+    if (peer.creditFailures >= cfg_.creditRetryLimit) {
         degradePeer(peer_id);
         return;
     }
@@ -465,7 +465,7 @@ InterNodeBridge::scheduleProbe(NodeId peer_id)
         return;
     }
     peer.probeScheduled = true;
-    eq_.schedule(cfg_.reliability.reprobeInterval, [this, peer_id] {
+    eq_.schedule(cfg_.reprobeInterval, [this, peer_id] {
         PeerState &p = peers_.at(peer_id);
         p.probeScheduled = false;
         if (!p.degraded || p.pollInFlight)

@@ -1,6 +1,11 @@
 /**
  * @file
- * SMAPPIC's inter-node bridge (paper section 3.1, Fig. 4).
+ * SMAPPIC's inter-node bridge (paper section 3.1, Fig. 4), as a
+ * standalone packet-level model of the protocol. A platform::Prototype
+ * builds no bridge: its coherence traffic crosses nodes on
+ * cache::CoherentSystem::nocPath, which times the same stages on
+ * per-node servers and shares this model's replay backoff
+ * (bridge/link_reliability.hpp).
  *
  * The bridge binds nodes on the same or different FPGAs into one shared
  * memory system by encapsulating NoC traffic into AXI4 write requests that
@@ -42,6 +47,7 @@
 #include <vector>
 
 #include "axi/axi.hpp"
+#include "bridge/link_reliability.hpp"
 #include "noc/packet.hpp"
 #include "pcie/pcie_fabric.hpp"
 #include "sim/event_queue.hpp"
@@ -58,20 +64,6 @@ class Reader;
 namespace smappic::bridge
 {
 
-/** Reliable-link tunables; `enabled = false` keeps the paper's lossless
- *  wire format and adds no bytes, state or events. */
-struct ReliabilityConfig
-{
-    bool enabled = false;
-    std::uint32_t replayDepth = 64;  ///< Max unacked frames per peer.
-    std::uint32_t maxRetries = 16;   ///< Retransmissions per frame before
-                                     ///< the link panics as unrecoverable.
-    Cycles ackTimeout = 128;         ///< Retransmit backoff base.
-    std::uint32_t creditRetryLimit = 8; ///< Failed credit reads before the
-                                        ///< peer is marked degraded.
-    Cycles reprobeInterval = 2048;   ///< Degraded-peer probe period.
-};
-
 /** Tunables of the inter-node bridge. */
 struct BridgeConfig
 {
@@ -80,6 +72,11 @@ struct BridgeConfig
     Cycles decapLatency = 6;          ///< Receive-side decode pipeline.
     std::uint64_t windowSize = 1 << 20; ///< Fabric window per bridge.
     ReliabilityConfig reliability;    ///< Reliable link layer (opt-in).
+    // Reliable-link sender limits (used only when reliability.enabled).
+    std::uint32_t replayDepth = 64;  ///< Max unacked frames per peer.
+    std::uint32_t creditRetryLimit = 8; ///< Failed credit reads before the
+                                        ///< peer is marked degraded.
+    Cycles reprobeInterval = 2048;   ///< Degraded-peer probe period.
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "obs/tracer.hpp"
+#include "sim/fault.hpp"
 #include "sim/log.hpp"
 #include "sim/parallel.hpp"
 #include "snap/state_io.hpp"
@@ -42,6 +43,8 @@ const sim::StatId kServicedLlcRemote("cs.serviced.llcRemote");
 const sim::StatId kServicedDramLocal("cs.serviced.dramLocal");
 const sim::StatId kServicedDramRemote("cs.serviced.dramRemote");
 const sim::StatId kMissLatency("cs.missLatency");
+const sim::StatId kRetransmits("bridge.retransmits");
+const sim::StatId kCrcErrors("bridge.crcErrors");
 
 /** Request packet wire footprint: header + address flit. */
 constexpr std::uint32_t kReqBytes = 16;
@@ -219,11 +222,43 @@ CoherentSystem::nocPath(NodeId sn, TileId st, NodeId dn, TileId dt,
     t = bridgeOut_[sn].send(t, bytes);
     t = pcieOut_[sn].send(t, bytes);
     t = bridgeIn_[dn].send(t, bytes);
+    if (fault_)
+        t = repairCrossing(sn, dn, bytes, t);
     if (dt != noc::kOffChipTile)
         t += (topo_.hops(0, dt) + 1) * timing_.hopLatency;
     if (traceNoc_)
         traceNocPath(sn, st, dn, dt, bytes, start, t, true);
     return t;
+}
+
+Cycles
+CoherentSystem::repairCrossing(NodeId sn, NodeId dn, std::uint32_t bytes,
+                               Cycles t)
+{
+    // A confined phase yields before any crossing, so the site's stream
+    // advances only in serial context, in the same order at any worker
+    // count.
+    panicIf(sim::confinedPhase(), "inter-node crossing in a node phase");
+    for (std::uint32_t replays = 0;; ++replays) {
+        sim::FaultDecision fd = fault_->decide("bridge.tx");
+        t += fd.extraDelay;
+        if (!fd.drop && !fd.corrupt)
+            return t;
+        if (!reliability_.enabled)
+            fatal(strfmt("bridge.tx %s on the node%u -> node%u crossing "
+                         "with the reliable link off",
+                         fd.drop ? "drop" : "corruption", sn, dn));
+        if (fd.corrupt)
+            stats_->counter(kCrcErrors).increment();
+        panicIf(replays == reliability_.maxRetries,
+                "bridge link unrecoverable: replay retries exhausted "
+                "(persistent loss or corruption)");
+        stats_->counter(kRetransmits).increment();
+        t += bridge::replayBackoff(reliability_.ackTimeout, replays);
+        t = bridgeOut_[sn].send(t, bytes);
+        t = pcieOut_[sn].send(t, bytes);
+        t = bridgeIn_[dn].send(t, bytes);
+    }
 }
 
 void

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bridge/link_reliability.hpp"
 #include "cache/cache_array.hpp"
 #include "cache/line_table.hpp"
 #include "mem/main_memory.hpp"
@@ -36,6 +37,11 @@
 namespace smappic::obs
 {
 class Tracer;
+}
+
+namespace smappic::sim
+{
+class FaultInjector;
 }
 
 namespace smappic::cache
@@ -432,6 +438,21 @@ class CoherentSystem
      */
     void setTracer(obs::Tracer *tracer);
 
+    /**
+     * Attaches a fault injector to the inter-node crossing (null to
+     * detach). Every crossing then decides site "bridge.tx": a delay
+     * adds cycles; a drop or corruption is replayed through the same
+     * bridge and PCIe servers after bridge::replayBackoff() when
+     * @p rel is enabled (counted in bridge.retransmits, corruptions also
+     * in bridge.crcErrors) and raises FatalError when it is not.
+     */
+    void setLinkFaults(sim::FaultInjector *fi,
+                       const bridge::ReliabilityConfig &rel)
+    {
+        fault_ = fi;
+        reliability_ = rel;
+    }
+
     /** Cross-cutting snapshot of @p addr's line for invariant checks. */
     LineView inspectLine(Addr addr) const;
 
@@ -522,6 +543,12 @@ class CoherentSystem
      */
     Cycles nocPath(NodeId sn, TileId st, NodeId dn, TileId dt,
                    std::uint32_t bytes, Cycles t, bool *crossed = nullptr);
+
+    /** Decides the fault of the crossing sn -> dn that left the last
+     *  server at @p t and replays it while it is lost or corrupted.
+     *  @return Arrival time of the copy that got through. */
+    Cycles repairCrossing(NodeId sn, NodeId dn, std::uint32_t bytes,
+                          Cycles t);
 
     /** Emits a kNocPath trace event covering [start, end). */
     void traceNocPath(NodeId sn, TileId st, NodeId dn, TileId dt,
@@ -668,6 +695,12 @@ class CoherentSystem
 
     std::unique_ptr<sim::StatRegistry> ownedStats_;
     sim::StatRegistry *stats_;
+
+    /** Crossing fault hook (null: fault-free) and its repair policy.
+     *  Last, so they shift none of the access path's members: placed
+     *  beside the link servers, they cost perfbench phased_memory ~5%. */
+    sim::FaultInjector *fault_ = nullptr;
+    bridge::ReliabilityConfig reliability_;
 };
 
 } // namespace smappic::cache

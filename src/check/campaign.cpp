@@ -83,6 +83,10 @@ printVerdict(std::ostream &out, const TortureConfig &cfg,
                   rep.passed ? "PASS" : "FAIL",
                   static_cast<unsigned long long>(rep.checkerViolations),
                   rep.mismatches.size());
+    if (onFaultySubstrate(cfg.platform))
+        out << strfmt("  faults injected: %llu  retransmits: %llu\n",
+                      static_cast<unsigned long long>(rep.faultsInjected),
+                      static_cast<unsigned long long>(rep.retransmits));
     for (const std::string &m : rep.mismatches)
         out << "  mismatch: " << m << "\n";
 }

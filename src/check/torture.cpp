@@ -150,6 +150,11 @@ runTorture(const TortureConfig &cfg)
                                 gen.checksums[c])));
     }
 
+    if (const sim::FaultInjector *fi = proto.faultInjector())
+        rep.faultsInjected = fi->dropsInjected() + fi->corruptionsInjected() +
+                             fi->delaysInjected() + fi->slvErrsInjected();
+    rep.retransmits = proto.stats().counterValue("bridge.retransmits");
+
     if (CoherenceChecker *chkr = proto.checker()) {
         chkr->sweep();
         rep.checkerViolations = chkr->violationCount();

@@ -56,6 +56,10 @@ struct TortureReport
 {
     bool passed = false;
     std::uint64_t checkerViolations = 0;
+    /** Faults the run's FaultPlan injected (0 without a plan). */
+    std::uint64_t faultsInjected = 0;
+    /** Crossings the reliable link replayed (bridge.retransmits). */
+    std::uint64_t retransmits = 0;
     /** Human-readable golden-model mismatches (bounded). */
     std::vector<std::string> mismatches;
 };

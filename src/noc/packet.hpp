@@ -6,9 +6,9 @@
  * requests, NoC2: responses/data, NoC3: writebacks/acks) to guarantee
  * protocol-level deadlock freedom. The intra-node meshes are timed at
  * transaction level (cache::CoherentSystem); this packet format is the
- * wire format of SMAPPIC's inter-node bridge, the NoC-AXI4 memory
- * controller and the interrupt packetizer, so the flit encoding here is
- * an explicit, round-trippable bit layout.
+ * wire format of the standalone inter-node bridge model and the
+ * interrupt packetizer, so the flit encoding here is an explicit,
+ * round-trippable bit layout.
  */
 
 #pragma once

@@ -17,8 +17,6 @@ namespace
 
 const sim::StatId kPlatformIrqDeferred("platform.irqDeferred");
 const sim::StatId kPlatformPhaseYields("platform.phaseYields");
-const sim::StatId kPlatformBridgePacketsIn("platform.bridgePacketsIn");
-const sim::StatId kPlatformMemctrlResponses("platform.memctrlResponses");
 const sim::StatId kPlatformIrqPackets("platform.irqPackets");
 const sim::StatId kFaultNodeWedge("fault.nodeWedge");
 const sim::StatId kWatchdogStallsDetected("watchdog.stallsDetected");
@@ -149,11 +147,9 @@ class SdWindowTarget : public axi::Target
 
 } // namespace
 
-// Fabric (PCIe) address map: bridges low, SD image windows high.
+// Fabric (PCIe) address map: one SD image window per node.
 namespace
 {
-constexpr Addr kFabricBridgeBase = 0x0;
-constexpr Addr kFabricBridgeStride = 0x100000;
 constexpr Addr kFabricSdBase = 0x100000000ULL;
 } // namespace
 
@@ -338,11 +334,29 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
     }
 
     // Fault injector: only built when the plan actually injects, so a
-    // fault-free prototype carries null hooks everywhere.
+    // fault-free prototype carries null hooks everywhere. A rule that
+    // matches none of the sites this prototype evaluates would inject
+    // nothing, so it is refused rather than silently ignored.
     if (!cfg.faultPlan.empty()) {
+        std::vector<std::string> sites = {"bridge.tx", "pcie.write",
+                                          "pcie.read"};
+        for (NodeId n = 0; n < cfg.totalNodes(); ++n)
+            sites.push_back(strfmt("node.wedge.node%u", n));
+        for (const sim::FaultRule &rule : cfg.faultPlan.rules) {
+            bool hooked = std::any_of(
+                sites.begin(), sites.end(), [&](const std::string &site) {
+                    return site.starts_with(rule.site);
+                });
+            fatalIf(!hooked,
+                    "fault rule site '" + rule.site +
+                        "' matches no hook of a " + cfg.name() +
+                        " prototype (bridge.tx, pcie.write, pcie.read, "
+                        "node.wedge.node<N>)");
+        }
         faultInjector_ =
             std::make_unique<sim::FaultInjector>(cfg.faultPlan, &stats_);
     }
+    cs_->setLinkFaults(faultInjector_.get(), cfg.reliability);
 
     fabric_ = std::make_unique<pcie::PcieFabric>(
         eq_, cfg.timing.pcieOneWay(), cfg.timing.pcieBytesPerCycle,
@@ -406,42 +420,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
     // Per-node substrate.
     serials_.resize(nodes);
     for (NodeId n = 0; n < nodes; ++n) {
-        // Inter-node bridge (when the coherent interconnect is enabled).
-        if (cfg.interNodeInterconnect && nodes > 1) {
-            bridge::BridgeConfig bcfg;
-            bcfg.reliability = cfg.reliability;
-            auto b = std::make_unique<bridge::InterNodeBridge>(
-                n, fpga_of(n),
-                kFabricBridgeBase + n * kFabricBridgeStride, eq_,
-                *fabric_, bcfg, &stats_);
-            b->setFaultInjector(faultInjector_.get());
-            b->setDeliverFn([this](const noc::Packet &pkt) {
-                if (pkt.type == noc::MsgType::kInterrupt) {
-                    GlobalTileId gid =
-                        pkt.dstNode * cfg_.tilesPerNode + pkt.dstTile;
-                    if (gid < cores_.size() && cores_[gid])
-                        riscv::IrqDepacketizer::apply(pkt, *cores_[gid]);
-                }
-                stats_.counter(kPlatformBridgePacketsIn).increment();
-            });
-            bridges_.push_back(std::move(b));
-        }
-
-        // DRAM channel + NoC-AXI4 memory controller.
         Addr dram_base = kDramBase + static_cast<Addr>(n) * cfg.memPerNode;
-        mem::DramTiming dt;
-        dt.latency = cfg.timing.dramLatency;
-        dt.bytesPerCycle = cfg.timing.dramBytesPerCycle;
-        drams_.push_back(std::make_unique<mem::AxiDram>(
-            eq_, cs_->memory(), dram_base, cfg.memPerNode, dt));
-        drams_.back()->setFaultInjector(faultInjector_.get());
-        auto ctrl = std::make_unique<mem::NocAxiMemController>(
-            n, eq_, *drams_.back(), mem::MemCtrlConfig{}, &stats_);
-        ctrl->setFaultInjector(faultInjector_.get());
-        ctrl->setSendFn([this](const noc::Packet &) {
-            stats_.counter(kPlatformMemctrlResponses).increment();
-        });
-        memctrls_.push_back(std::move(ctrl));
 
         // Two UARTs per node: console (115200) and data (~1 Mbit/s).
         for (int u = 0; u < 2; ++u) {
@@ -482,14 +461,6 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
                            sd_target.get(), fpga_of(n),
                            strfmt("sd.node%u", n));
         fabricAdapters_.push_back(std::move(sd_target));
-    }
-
-    // Bridge peering (full mesh).
-    for (auto &b : bridges_) {
-        for (auto &peer : bridges_) {
-            if (b->node() != peer->node())
-                b->addPeer(peer->node(), peer->windowBase());
-        }
     }
 
     // Cores.
@@ -568,8 +539,6 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
     tracer_.configure(cfg_.trace, nodes);
     cs_->setTracer(&tracer_);
     fabric_->setTracer(&tracer_);
-    for (auto &b : bridges_)
-        b->setTracer(&tracer_);
     for (GlobalTileId g = 0; g < cores_.size(); ++g)
         cores_[g]->setTracer(&tracer_, g / cfg_.tilesPerNode,
                              cfg_.trace.coreStallCycles);
@@ -737,7 +706,10 @@ Prototype::runCores(const std::vector<GlobalTileId> &gids,
     bool wedge_armed = false;
     if (faultInjector_) {
         for (const auto &rule : faultInjector_->plan().rules) {
-            if (rule.site.rfind("node.wedge", 0) == 0)
+            // A rule arms the wedge when it prefix-matches a
+            // node.wedge.node<N> site ("node" does, like "node.wedge.node1").
+            if (rule.site.starts_with("node.wedge") ||
+                std::string_view("node.wedge").starts_with(rule.site))
                 wedge_armed = true;
         }
     }
@@ -1175,7 +1147,6 @@ Prototype::configFingerprint() const
     mix(cfg_.memPerNode);
     mix(cfg_.llcSliceBytes);
     mix(cfg_.seed);
-    mix(cfg_.interNodeInterconnect ? 1 : 0);
     mix(static_cast<std::uint64_t>(cfg_.coreModel));
     mix(static_cast<std::uint64_t>(cfg_.homing));
     mix(cfg_.parallel.quantum);
@@ -1252,12 +1223,6 @@ Prototype::writeCheckpoint(const std::string &path)
     cs_->saveState(w);
     w.end();
 
-    w.begin(snap::Section::kBridges);
-    w.u64(bridges_.size());
-    for (const auto &b : bridges_)
-        b->saveState(w);
-    w.end();
-
     w.begin(snap::Section::kFabric);
     fabric_->saveState(w);
     w.end();
@@ -1274,12 +1239,6 @@ Prototype::writeCheckpoint(const std::string &path)
     w.u64(sdCards_.size());
     for (const auto &sd : sdCards_)
         sd->saveState(w);
-    w.u64(drams_.size());
-    for (const auto &d : drams_)
-        d->saveState(w);
-    w.u64(memctrls_.size());
-    for (const auto &m : memctrls_)
-        m->saveState(w);
     w.end();
 
     w.begin(snap::Section::kStats);
@@ -1372,15 +1331,6 @@ Prototype::restore(const std::string &path)
     r.open(snap::Section::kCache);
     cs_->restoreState(r);
 
-    r.open(snap::Section::kBridges);
-    std::uint64_t nbridges = r.u64();
-    fatalIf(nbridges != bridges_.size(),
-            strfmt("checkpoint has %llu bridges, prototype has %zu",
-                   static_cast<unsigned long long>(nbridges),
-                   bridges_.size()));
-    for (auto &b : bridges_)
-        b->restoreState(r);
-
     r.open(snap::Section::kFabric);
     fabric_->restoreState(r);
 
@@ -1402,12 +1352,6 @@ Prototype::restore(const std::string &path)
     check_count("SD cards", r.u64(), sdCards_.size());
     for (auto &sd : sdCards_)
         sd->restoreState(r);
-    check_count("DRAM channels", r.u64(), drams_.size());
-    for (auto &d : drams_)
-        d->restoreState(r);
-    check_count("memory controllers", r.u64(), memctrls_.size());
-    for (auto &m : memctrls_)
-        m->restoreState(r);
 
     r.open(snap::Section::kStats);
     snap::restoreRegistry(r, stats_);

@@ -4,11 +4,11 @@
  *
  * A prototype is described in the paper's AxBxC notation — A FPGAs, B
  * nodes per FPGA, C tiles per node — and contains:
- *   - the coherent multi-node memory system (BYOC nodes + SMAPPIC
- *     inter-node interconnect timing),
+ *   - the coherent multi-node memory system (BYOC nodes, DRAM timing
+ *     and SMAPPIC's inter-node crossing, the prototype's one inter-node
+ *     path, which also carries the injected link faults),
  *   - one RV64 core per tile wired to that memory system,
- *   - the F1 substrate: PCIe fabric, per-node inter-node bridges,
- *     per-node NoC-AXI4 memory controllers and DRAM channels,
+ *   - the F1 PCIe fabric, which carries the host's SD-image writes,
  *   - I/O: two UARTs per node (console + overclocked data), the CLINT
  *     interrupt controller with packetizer delivery, and a virtual SD
  *     card in the top half of each node's DRAM.
@@ -28,14 +28,12 @@
 
 #include "accel/gng.hpp"
 #include "accel/maple.hpp"
-#include "bridge/inter_node_bridge.hpp"
+#include "bridge/link_reliability.hpp"
 #include "cache/coherent_system.hpp"
 #include "check/coherence_checker.hpp"
 #include "check/lockstep.hpp"
 #include "io/sd_card.hpp"
 #include "io/uart16550.hpp"
-#include "mem/axi_dram.hpp"
-#include "mem/noc_axi_memctrl.hpp"
 #include "obs/tracer.hpp"
 #include "os/guest_system.hpp"
 #include "pcie/pcie_fabric.hpp"
@@ -78,7 +76,6 @@ struct PrototypeConfig
     /** LLC slice capacity (Table 2 default; benches scale it with their
      *  scaled-down working sets to preserve the paper's ws:LLC regime). */
     std::uint64_t llcSliceBytes = 64 << 10;
-    bool interNodeInterconnect = true;
     riscv::CoreModel coreModel = riscv::CoreModel::kAriane;
     cache::HomingPolicy homing = cache::HomingPolicy::kAddressNode;
     cache::TimingParams timing;
@@ -125,11 +122,18 @@ struct PrototypeConfig
         bool idleSkip = true;
     };
     UncoreTuning uncore;
-    /** Transient-fault schedule injected into the substrate (PCIe fabric,
-     *  bridges, DRAM path). Empty = no injector is built, zero cost. */
+    /**
+     * Transient-fault schedule. Its rules must prefix-match a site the
+     * prototype evaluates, or construction throws FatalError:
+     * "bridge.tx" (every inter-node crossing of coherence traffic),
+     * "pcie.write"/"pcie.read" (the PCIe fabric) and
+     * "node.wedge.node<N>" (a node hangs at a quantum barrier). Empty =
+     * no injector is built, and each hook costs one null test.
+     */
     sim::FaultPlan faultPlan;
-    /** Reliable inter-node link layer (CRC + replay); see
-     *  bridge::ReliabilityConfig. Off by default. */
+    /** Repair of crossing drops and corruptions: replay after a backoff
+     *  when enabled, FatalError when off (the default, the paper's
+     *  lossless link); see bridge::ReliabilityConfig. */
     bridge::ReliabilityConfig reliability;
     /**
      * Shape of the run engine behind runCores(): nodes advance in quanta
@@ -229,7 +233,6 @@ class Prototype
      * disabled.
      */
     void writeTrace(const std::string &path = "") const;
-    bridge::InterNodeBridge &bridge(NodeId n) { return *bridges_.at(n); }
     riscv::ClintController &clint() { return *clint_; }
     riscv::PlicController &plic() { return *plic_; }
     io::Uart16550 &consoleUart(NodeId n) { return *uarts_.at(n * 2); }
@@ -382,9 +385,6 @@ class Prototype
     std::unique_ptr<check::LockstepChecker> lockstep_;
     std::unique_ptr<sim::FaultInjector> faultInjector_;
     std::unique_ptr<pcie::PcieFabric> fabric_;
-    std::vector<std::unique_ptr<bridge::InterNodeBridge>> bridges_;
-    std::vector<std::unique_ptr<mem::AxiDram>> drams_;
-    std::vector<std::unique_ptr<mem::NocAxiMemController>> memctrls_;
     std::vector<std::unique_ptr<io::Uart16550>> uarts_;
     std::vector<io::VirtualSerial> serials_;
     std::vector<std::unique_ptr<io::VirtualSdCard>> sdCards_;

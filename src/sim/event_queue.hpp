@@ -2,8 +2,8 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The packet/cycle-level models (NoC routers, bridges, memory controllers,
- * UARTs) are driven by a single EventQueue. Events scheduled for the same
+ * The packet/cycle-level models (the PCIe fabric, the standalone bridge
+ * model, UARTs and other devices) are driven by a single EventQueue. Events scheduled for the same
  * cycle fire in FIFO order of scheduling, which keeps component pipelines
  * deterministic.
  */

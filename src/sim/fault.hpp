@@ -7,8 +7,12 @@
  * peer instances rebooting mid-run. A FaultPlan describes such faults
  * declaratively — per injection *site*, a seeded probability and an
  * optional event-count window for each fault kind — and a FaultInjector
- * evaluates the plan at hooks wired through the PCIe fabric, the
- * inter-node bridge and the DRAM path.
+ * evaluates the plan at named hooks. A platform::Prototype evaluates
+ * "bridge.tx" on every inter-node crossing of coherence traffic
+ * (cache::CoherentSystem::nocPath), "pcie.write"/"pcie.read" in the PCIe
+ * fabric and "node.wedge.node<N>" at quantum barriers, and refuses a rule
+ * that matches none of them; the standalone bridge::InterNodeBridge
+ * evaluates "bridge.tx" and "bridge.creditRead".
  *
  * Determinism: every site draws from its own xoroshiro stream seeded from
  * (plan seed, site name), so decisions at one site are independent of how

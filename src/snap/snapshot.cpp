@@ -23,7 +23,6 @@ sectionName(std::uint32_t tag)
       case Section::kCores: return "cores";
       case Section::kMemory: return "memory";
       case Section::kCache: return "cache";
-      case Section::kBridges: return "bridges";
       case Section::kFabric: return "fabric";
       case Section::kDevices: return "devices";
       case Section::kStats: return "stats";

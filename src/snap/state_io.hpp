@@ -43,7 +43,7 @@
 namespace smappic::snap
 {
 
-inline constexpr std::uint32_t kSmckVersion = 1;
+inline constexpr std::uint32_t kSmckVersion = 2;
 
 /** Section tags. Values are part of the on-disk format: never renumber. */
 enum class Section : std::uint32_t
@@ -54,7 +54,7 @@ enum class Section : std::uint32_t
     kCores = 4,   ///< Architectural + microarchitectural core state.
     kMemory = 5,  ///< Sparse MainMemory pages.
     kCache = 6,   ///< Directory, cache arrays, servers/shapers.
-    kBridges = 7, ///< Inter-node bridge link-layer state.
+    // 7 held the inter-node bridges' link state up to version 1.
     kFabric = 8,  ///< PCIe fabric links + counters.
     kDevices = 9, ///< CLINT, PLIC, UARTs, serials, SD cards.
     kStats = 10,  ///< Root StatRegistry + per-node shards.

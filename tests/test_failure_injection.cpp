@@ -1,7 +1,7 @@
 /**
  * @file
- * Failure-injection tests: fabric decode errors, flaky AXI targets, DRAM
- * range errors and protocol-violation panics. The platform must either
+ * Failure-injection tests: fabric decode errors, flaky AXI targets and
+ * protocol-violation panics. The platform must either
  * recover (transient errors) or fail loudly (invariant violations) —
  * never hang or silently corrupt.
  */
@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "bridge/inter_node_bridge.hpp"
-#include "mem/noc_axi_memctrl.hpp"
 #include "pcie/pcie_fabric.hpp"
-#include "sim/fault.hpp"
 
 #include <cstring>
 #include "sim/log.hpp"
@@ -107,31 +105,6 @@ TEST(FailureInjection, FabricDecodeErrorCompletesWithDecErr)
     EXPECT_EQ(fabric.decodeErrors(), 2u);
 }
 
-TEST(FailureInjection, MemControllerPanicsOnDramError)
-{
-    // A DRAM range error behind the memory controller is an integration
-    // bug (the platform sizes windows to match); it must panic, not
-    // return garbage data.
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    mem::MainMemory memory;
-    mem::AxiDram dram(eq, memory, 0, 0x1000, mem::DramTiming{});
-    mem::NocAxiMemController ctrl(0, eq, dram, mem::MemCtrlConfig{},
-                                  &stats);
-    ctrl.setSendFn([](const noc::Packet &) {});
-
-    noc::Packet p;
-    p.srcNode = 0;
-    p.srcTile = 1;
-    p.dstNode = 0;
-    p.dstTile = noc::kOffChipTile;
-    p.type = noc::MsgType::kMemRd;
-    p.sizeLog2 = 6;
-    p.addr = 0x100000; // Past the 4 KiB DRAM window.
-    ctrl.handlePacket(p);
-    EXPECT_THROW(eq.run(), PanicError);
-}
-
 TEST(FailureInjection, BridgeReceiveOverflowPanics)
 {
     // A sender violating the credit protocol (writing more flits than the
@@ -154,57 +127,6 @@ TEST(FailureInjection, BridgeReceiveOverflowPanics)
     rx.write(req);
     rx.write(req);
     EXPECT_THROW(rx.write(req), PanicError);
-}
-
-TEST(FailureInjection, DramSlvErrFaultPanicsThroughMemController)
-{
-    // The DRAM path is below the bridge's CRC domain: a faulted DRAM
-    // response is an unrecoverable platform error and the controller
-    // must panic rather than forward garbage.
-    sim::FaultPlan plan;
-    plan.slvErr("dram.read", 1.0);
-    sim::FaultInjector fi(plan);
-
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    mem::MainMemory memory;
-    mem::AxiDram dram(eq, memory, 0, 1 << 20, mem::DramTiming{});
-    dram.setFaultInjector(&fi);
-    mem::NocAxiMemController ctrl(0, eq, dram, mem::MemCtrlConfig{},
-                                  &stats);
-    ctrl.setSendFn([](const noc::Packet &) {});
-
-    noc::Packet p;
-    p.srcNode = 0;
-    p.srcTile = 1;
-    p.dstNode = 0;
-    p.dstTile = noc::kOffChipTile;
-    p.type = noc::MsgType::kMemRd;
-    p.sizeLog2 = 6;
-    p.addr = 0x1000;
-    ctrl.handlePacket(p);
-    EXPECT_THROW(eq.run(), PanicError);
-    EXPECT_EQ(fi.slvErrsInjected(), 1u);
-}
-
-TEST(FailureInjection, DramDelayFaultPostponesCompletion)
-{
-    sim::FaultPlan plan;
-    plan.delay("dram.read", 1.0, 1000);
-    sim::FaultInjector fi(plan);
-
-    sim::EventQueue eq;
-    mem::MainMemory memory;
-    mem::AxiDram dram(eq, memory, 0, 1 << 20, mem::DramTiming{});
-    dram.setFaultInjector(&fi);
-
-    Cycles when = 0;
-    dram.read(axi::ReadReq{0x0, 64, 0}, [&](axi::ReadResp resp) {
-        when = eq.now();
-        EXPECT_EQ(resp.resp, axi::Resp::kOkay);
-    });
-    eq.run();
-    EXPECT_GE(when, 1000u);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <set>
 #include <tuple>
 
+#include "bridge/inter_node_bridge.hpp"
 #include "cache/coherent_system.hpp"
 #include "platform/prototype.hpp"
 #include "sim/random.hpp"

@@ -2,7 +2,8 @@
  * @file
  * Tests for the PCIe fabric model and the inter-node bridge: encapsulation
  * round trips, credit-based flow control (including saturation without
- * overflow), latency structure, and multi-node delivery through the fabric.
+ * overflow), latency structure, multi-node delivery through the fabric,
+ * and the bridge's and fabric's trace events.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "bridge/inter_node_bridge.hpp"
+#include "obs/tracer.hpp"
 #include "pcie/pcie_fabric.hpp"
 #include "riscv/interrupts.hpp"
 #include "sim/log.hpp"
@@ -321,6 +323,36 @@ TEST(InterNodeBridge, FourNodeAllToAll)
     for (NodeId n = 0; n < 4; ++n)
         EXPECT_EQ(static_cast<int>(received[n].size()), expected[n])
             << "node " << n;
+}
+
+TEST(InterNodeBridge, TracesFramesAndFabricTransfers)
+{
+    TwoNodeHarness h;
+    obs::TraceConfig tcfg;
+    tcfg.enabled = true;
+    obs::Tracer tracer;
+    tracer.configure(tcfg, 2);
+    h.fabric.setTracer(&tracer);
+    h.bridge0.setTracer(&tracer);
+    h.bridge1.setTracer(&tracer);
+    // Enough packets to outrun the per-NoC credit window, so the sender
+    // must issue credit-return reads across the fabric.
+    for (int i = 0; i < 40; ++i)
+        h.bridge0.sendPacket(h.makePacket(0, 1, 1));
+    h.eq.run();
+    ASSERT_EQ(h.at1.size(), 40u);
+
+    std::uint64_t perKind[obs::kNumEventKinds] = {};
+    for (const obs::TraceEvent &ev : tracer.merged())
+        perKind[ev.kind] += 1;
+    auto count = [&](obs::EventKind k) {
+        return perKind[static_cast<std::uint32_t>(k)];
+    };
+    EXPECT_GT(count(obs::EventKind::kBridgeTx), 0u);
+    EXPECT_EQ(count(obs::EventKind::kBridgeRx), 40u);
+    EXPECT_GT(count(obs::EventKind::kPcieWrite), 0u);
+    // Credit-return polls show up as fabric reads.
+    EXPECT_GT(count(obs::EventKind::kPcieRead), 0u);
 }
 
 TEST(InterNodeBridge, MisroutedPacketPanics)

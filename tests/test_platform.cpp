@@ -3,7 +3,8 @@
  * Integration tests for the Prototype: AxBxC parsing, program execution on
  * cores against the coherent memory system, console I/O through the
  * tunnelled UART, CLINT interrupt delivery via packetizer, virtual SD
- * card, and the Fig-7 latency probe.
+ * card, the Fig-7 latency probe, and the fault-plan sites a prototype
+ * accepts.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,23 @@ TEST(PrototypeConfig, ParseAndName)
     EXPECT_THROW(PrototypeConfig::parse("8x1x2"), FatalError);  // >4 FPGAs.
     EXPECT_THROW(PrototypeConfig::parse("1x8x2"), FatalError);  // >4 nodes.
     EXPECT_THROW(PrototypeConfig::parse("0x1x2"), FatalError);
+}
+
+TEST(Prototype, RejectsFaultRulesThatReachNoHook)
+{
+    // A rule whose site matches none of the hooks a prototype evaluates
+    // would inject nothing; construction refuses it instead.
+    auto build = [](const std::string &site) {
+        PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
+        cfg.faultPlan.drop(site, 0.5);
+        Prototype proto(cfg);
+    };
+    for (const char *site : {"dram.read", "memctrl.resp",
+                             "bridge.creditRead", "node.wedge.node9"})
+        EXPECT_THROW(build(site), FatalError) << site;
+    for (const char *site : {"bridge", "bridge.tx", "pcie", "pcie.read",
+                             "node.wedge", "node.wedge.node1"})
+        EXPECT_NO_THROW(build(site)) << site;
 }
 
 TEST(Prototype, RunsProgramOnCore)

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bridge/inter_node_bridge.hpp"
 #include "check/torture.hpp"
 #include "mem/main_memory.hpp"
 #include "platform/prototype.hpp"
@@ -512,6 +514,61 @@ TEST(WatchdogRecovery, PanicActionThrows)
 
 // ------------------------------------------------- FaultPlan edge cases
 
+/** The torture workload's cycles and stats dump on a prototype built
+ *  from @p cfg. */
+std::pair<Cycles, std::string>
+tortureRun(const platform::PrototypeConfig &cfg)
+{
+    platform::Prototype proto(cfg);
+    proto.loadSource(tortureWorkload().source);
+    runWorkload(proto);
+    Cycles cycles = 0;
+    for (std::uint32_t c = 0; c < proto.coreCount(); ++c) {
+        EXPECT_TRUE(proto.core(c).exited()) << "core " << c;
+        cycles = std::max(cycles, proto.core(c).cycles());
+    }
+    if (const sim::FaultInjector *fi = proto.faultInjector()) {
+        // Sites are consulted but nothing ever fires.
+        EXPECT_GT(fi->siteEvents("bridge.tx"), 0u);
+        EXPECT_EQ(fi->dropsInjected() + fi->corruptionsInjected() +
+                      fi->delaysInjected() + fi->slvErrsInjected(),
+                  0u);
+    }
+    std::ostringstream os;
+    proto.stats().dump(os);
+    std::istringstream lines(os.str());
+    std::string kept;
+    for (std::string line; std::getline(lines, line);) {
+        if (!line.starts_with("fault."))
+            kept += line + "\n";
+    }
+    return {cycles, kept};
+}
+
+TEST(FaultPlanEdges, ZeroRatePlanInjectsNothing)
+{
+    // A plan full of zero-probability rules must behave exactly like no
+    // plan on coherence traffic that crosses nodes: same cycles, same
+    // stats outside fault.*.
+    platform::PrototypeConfig cfg = tortureProtoConfig(1, 0, "");
+    cfg.reliability.enabled = true;
+    auto [clean_cycles, clean_stats] = tortureRun(cfg);
+
+    cfg.faultPlan.seed = 11;
+    cfg.faultPlan.corrupt("bridge.tx", 0.0);
+    cfg.faultPlan.drop("bridge.tx", 0.0);
+    cfg.faultPlan.delay("bridge.tx", 0.0, 100);
+    cfg.faultPlan.drop("pcie.write", 0.0);
+    cfg.faultPlan.drop("node.wedge", 0.0);
+    auto [cycles, stats] = tortureRun(cfg);
+
+    EXPECT_GT(clean_cycles, 0u);
+    EXPECT_EQ(cycles, clean_cycles);
+    EXPECT_EQ(stats, clean_stats);
+    EXPECT_NE(stats.find("cs.bridge.crossings"), std::string::npos);
+    EXPECT_EQ(stats.find("bridge.retransmits"), std::string::npos);
+}
+
 noc::Packet
 bridgePacket(NodeId src, NodeId dst, std::uint64_t seq)
 {
@@ -527,70 +584,45 @@ bridgePacket(NodeId src, NodeId dst, std::uint64_t seq)
     return p;
 }
 
-TEST(FaultPlanEdges, ZeroRatePlanInjectsNothing)
-{
-    // A plan full of zero-probability rules must behave exactly like no
-    // plan: sites are consulted but nothing ever fires.
-    platform::PrototypeConfig cfg =
-        platform::PrototypeConfig::parse("2x1x2");
-    cfg.seed = 11;
-    cfg.faultPlan.seed = 11;
-    cfg.faultPlan.corrupt("bridge.tx", 0.0);
-    cfg.faultPlan.drop("bridge.creditRead", 0.0);
-    cfg.faultPlan.drop("pcie.write", 0.0);
-    cfg.reliability.enabled = true;
-    platform::Prototype proto(cfg);
-    ASSERT_NE(proto.faultInjector(), nullptr);
-
-    std::vector<noc::Packet> at1;
-    proto.bridge(1).setDeliverFn(
-        [&](const noc::Packet &p) { at1.push_back(p); });
-    for (std::uint64_t i = 0; i < 50; ++i)
-        proto.bridge(0).sendPacket(bridgePacket(0, 1, i));
-    proto.eventQueue().run();
-
-    EXPECT_EQ(at1.size(), 50u); // Exactly once, nothing lost.
-    EXPECT_EQ(proto.faultInjector()->dropsInjected(), 0u);
-    EXPECT_EQ(proto.faultInjector()->corruptionsInjected(), 0u);
-    EXPECT_EQ(proto.stats().counter("fault.drop").value(), 0u);
-    EXPECT_EQ(proto.stats().counter("fault.corrupt").value(), 0u);
-    EXPECT_EQ(proto.stats().counter("bridge.retransmits").value(), 0u);
-    EXPECT_EQ(proto.stats().counter("bridge.crcErrors").value(), 0u);
-    EXPECT_EQ(proto.stats().counter("bridge.peerDegraded").value(), 0u);
-}
-
 TEST(FaultPlanEdges, SaturatingDropsDegradeDeterministically)
 {
-    // Every credit read dropped forever: the reliable link must not
-    // spin on the wire — accumulated poll failures deterministically
-    // mark the peer degraded within a bounded horizon. The degraded
-    // peer keeps probing while traffic waits, so the horizon is
-    // enforced with runUntil rather than run().
-    platform::PrototypeConfig cfg =
-        platform::PrototypeConfig::parse("2x1x2");
-    cfg.seed = 11;
-    cfg.faultPlan.seed = 11;
-    cfg.faultPlan.drop("bridge.creditRead", 1.0);
-    cfg.reliability.enabled = true;
+    // Every credit read of a standalone reliable bridge pair dropped
+    // forever: the link must not spin on the wire — accumulated poll
+    // failures deterministically mark the peer degraded within a bounded
+    // horizon. The degraded peer keeps probing while traffic waits, so
+    // the horizon is enforced with runUntil rather than run().
+    sim::FaultPlan plan;
+    plan.seed = 11;
+    plan.drop("bridge.creditRead", 1.0);
+    bridge::BridgeConfig bcfg;
+    bcfg.reliability.enabled = true;
 
     std::uint64_t degraded[2] = {0, 0};
     std::uint64_t drops[2] = {0, 0};
     for (int round = 0; round < 2; ++round) {
-        platform::Prototype proto(cfg);
+        sim::EventQueue eq;
+        sim::StatRegistry stats;
+        pcie::PcieFabric fabric(eq, 63, 16.0, &stats);
+        sim::FaultInjector fi(plan, &stats);
+        bridge::InterNodeBridge b0(0, 0, 0x0, eq, fabric, bcfg, &stats);
+        bridge::InterNodeBridge b1(1, 1, 0x100000, eq, fabric, bcfg,
+                                   &stats);
+        b0.setFaultInjector(&fi);
+        b1.setFaultInjector(&fi);
+        b0.addPeer(1, b1.windowBase());
+        b1.addPeer(0, b0.windowBase());
         std::vector<noc::Packet> at1;
-        proto.bridge(1).setDeliverFn(
-            [&](const noc::Packet &p) { at1.push_back(p); });
+        b1.setDeliverFn([&](const noc::Packet &p) { at1.push_back(p); });
         // More packets than the per-NoC credit pool: the sender runs
         // out of credits and has to poll.
         for (std::uint64_t i = 0; i < 64; ++i)
-            proto.bridge(0).sendPacket(bridgePacket(0, 1, i));
-        proto.eventQueue().runUntil(2'000'000);
+            b0.sendPacket(bridgePacket(0, 1, i));
+        eq.runUntil(2'000'000);
 
-        EXPECT_TRUE(proto.bridge(0).peerDegraded(1));
+        EXPECT_TRUE(b0.peerDegraded(1));
         EXPECT_LT(at1.size(), 64u); // The tail is stuck behind credits.
-        degraded[round] =
-            proto.stats().counter("bridge.peerDegraded").value();
-        drops[round] = proto.stats().counter("fault.drop").value();
+        degraded[round] = stats.counter("bridge.peerDegraded").value();
+        drops[round] = stats.counter("fault.drop").value();
         EXPECT_GE(degraded[round], 1u);
         EXPECT_GE(drops[round], 1u);
     }

@@ -3,13 +3,16 @@
  * Tests for the multi-core memory torture harness (src/check/torture):
  * the generator is a pure function of its seed, clean runs match the
  * flat golden model at the default config (one worker), at 1/2/4
- * workers and on a faulty-substrate + reliable-bridge configuration,
- * and an armed
+ * workers and on a faulty-substrate + reliable-bridge configuration
+ * (whose faults fire, get repaired, and leave the stats identical at
+ * 1/2/4 workers), and an armed
  * directory mutation produces a failing report that minimizes and
  * carries a deterministically reproducing seed.
  */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "check/campaign.hpp"
 #include "check/torture.hpp"
@@ -100,6 +103,34 @@ TEST(TortureHarness, SurvivesFaultySubstrateWithReliableBridge)
     EXPECT_TRUE(rep.passed)
         << (rep.mismatches.empty() ? "checker violations"
                                    : rep.mismatches[0]);
+    // The faults reached the coherence traffic and were repaired.
+    EXPECT_GT(rep.faultsInjected, 0u);
+    EXPECT_GT(rep.retransmits, 0u);
+}
+
+TEST(TortureHarness, FaultySubstrateIsBitIdenticalAcrossWorkerCounts)
+{
+    // The --faulty substrate decides every crossing's fault in serial
+    // context, so the worker count changes neither which crossings are
+    // hit nor anything the stats record.
+    auto dump = [](std::uint32_t threads) {
+        TortureConfig cfg;
+        cfg.seed = 6;
+        makeFaulty(cfg.platform, cfg.seed);
+        cfg.platform.parallel.threads = threads;
+        cfg.platform.parallel.quantum = 63;
+        TortureProgram gen = generateTorture(cfg);
+        platform::Prototype proto(cfg.platform);
+        proto.loadSource(gen.source);
+        proto.runCores({0, 1, 2, 3}, cfg.maxInstructions);
+        EXPECT_GT(proto.stats().counterValue("bridge.retransmits"), 0u);
+        std::ostringstream os;
+        proto.stats().dump(os);
+        return os.str();
+    };
+    std::string ref = dump(1);
+    for (std::uint32_t threads : {2u, 4u})
+        EXPECT_EQ(dump(threads), ref) << threads << " workers";
 }
 
 TEST(TortureHarness, MutationFailsMinimizesAndReproduces)

@@ -364,37 +364,37 @@ TEST(PlatformTrace, CapturesCoreCacheAndNocEvents)
 
 TEST(PlatformTrace, BridgeTrafficEmitsBridgeAndPcieEvents)
 {
+    // Code and data on node 0: node 1's harts fetch and load across the
+    // inter-node crossing (bridge and PCIe, paper section 3.1), which
+    // traces as a kNocPath event flagged crossed, one per crossing.
     PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
     cfg.trace.enabled = true;
     Prototype proto(cfg);
-    proto.bridge(1).setDeliverFn([](const noc::Packet &) {});
+    proto.loadSource(R"(
+_start:
+    la t0, word
+    ld a0, 0(t0)
+    li a7, 93
+    ecall
+.data
+word: .dword 0
+)");
+    proto.runCores({0, 1, 2, 3}, 10'000);
+    ASSERT_EQ(proto.tracer().dropped(), 0u);
 
-    noc::Packet p;
-    p.noc = noc::NocIndex::kNoc1;
-    p.srcNode = 0;
-    p.srcTile = 0;
-    p.dstNode = 1;
-    p.dstTile = 1;
-    p.type = noc::MsgType::kDataResp;
-    p.addr = 0x80001000;
-    p.payload.push_back(7);
-    // Enough packets to outrun the per-NoC credit window, so the sender
-    // must issue credit-return reads across the fabric.
-    for (std::uint64_t i = 0; i < 40; ++i)
-        proto.bridge(0).sendPacket(p);
-    proto.eventQueue().run();
-
-    std::uint64_t perKind[obs::kNumEventKinds] = {};
-    for (const obs::TraceEvent &ev : proto.tracer().merged())
-        perKind[ev.kind] += 1;
-    auto count = [&](obs::EventKind k) {
-        return perKind[static_cast<std::uint32_t>(k)];
-    };
-    EXPECT_GT(count(obs::EventKind::kBridgeTx), 0u);
-    EXPECT_GT(count(obs::EventKind::kBridgeRx), 0u);
-    EXPECT_GT(count(obs::EventKind::kPcieWrite), 0u);
-    // Credit-return polls show up as fabric reads.
-    EXPECT_GT(count(obs::EventKind::kPcieRead), 0u);
+    std::uint64_t crossed = 0;
+    std::uint64_t local = 0;
+    for (const obs::TraceEvent &ev : proto.tracer().merged()) {
+        if (ev.kind != static_cast<std::uint32_t>(obs::EventKind::kNocPath))
+            continue;
+        auto src = static_cast<std::uint16_t>(ev.arg >> 48);
+        auto dst = static_cast<std::uint16_t>(ev.arg >> 16);
+        EXPECT_EQ(ev.flags == 1, src != dst);
+        (ev.flags == 1 ? crossed : local) += 1;
+    }
+    EXPECT_GT(crossed, 0u);
+    EXPECT_GT(local, 0u);
+    EXPECT_EQ(crossed, proto.stats().counterValue("cs.bridge.crossings"));
 }
 
 TEST(PlatformTrace, ComponentMaskLimitsWhatIsRecorded)
