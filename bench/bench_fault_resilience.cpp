@@ -1,94 +1,146 @@
 /**
  * @file
- * Fault-resilience bench: inter-node bridge latency/throughput as the
- * transient-fault rate rises. Streams fixed packet traffic through a
- * 2-bridge PCIe fabric with the reliable link layer on, at fault rates of
- * 0%, 0.1% and 1% (drops plus bit corruptions), and reports delivery
- * cycles, achieved flit rate and the repair work (retransmits, CRC
- * rejects) each rate costs — as a table and as a JSON block for tooling.
+ * Fault-resilience bench: the figures' own inter-node traffic on the
+ * prototype's crossing (cache::CoherentSystem::nocPath) as the
+ * transient-fault rate rises. Each run builds the 4x1x12 prototype twice
+ * and runs two figure workloads on it:
+ *   - Fig 7's probes: measureRoundTrip over every ordered pair of cores;
+ *   - one Fig 8 point: intsort on 12 threads spread over the 4 nodes,
+ *     NUMA off, 2^16 keys, on the guest-OS model.
+ * The reliable link is on and "bridge.tx" drops plus corruptions (half
+ * each) fire at 0%, 0.1% and 1% of crossings; one more run keeps the
+ * paper's lossless link (reliability off, no injector). It reports
+ * cycles, the mean inter-node probe latency and the repair work, as a
+ * table and as a JSON line for tools/check_bench.py.
  *
- * The 0% row doubles as the zero-cost check: with no faults and
- * reliability *off* the cycle count must match the seed bridge exactly.
+ * Checks (the exit code follows them): intsort sorts exactly at every
+ * rate; retransmits equal drops plus corruptions; the 0% run, which
+ * consults the injector at every crossing, equals the lossless run
+ * exactly; and cycles do not fall as the rate rises.
  */
 
 #include <cstdio>
 #include <vector>
 
-#include "bridge/inter_node_bridge.hpp"
-#include "pcie/pcie_fabric.hpp"
+#include "platform/prototype.hpp"
 #include "sim/fault.hpp"
+#include "workload/intsort.hpp"
 
 using namespace smappic;
 
 namespace
 {
 
+constexpr const char *kSpec = "4x1x12";
+constexpr std::uint32_t kThreads = 12;
+constexpr std::uint64_t kKeys = 1 << 16;
+
 struct RunResult
 {
     double faultRate = 0;
     bool reliable = false;
-    Cycles cycles = 0;
-    int delivered = 0;
+    Cycles probeCycles = 0;      ///< Sum of every probe's round trip.
+    double interNodeLatency = 0; ///< Mean inter-node round trip.
+    Cycles intsortCycles = 0;
+    bool sorted = false;
+    std::uint64_t crossings = 0;
     std::uint64_t retransmits = 0;
     std::uint64_t crcErrors = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t faultsInjected = 0;
+    std::uint64_t drops = 0;
+    std::uint64_t corruptions = 0;
+
+    std::uint64_t faultsInjected() const { return drops + corruptions; }
 };
 
-/** Streams @p packets 10-flit packets one way; returns the run's stats. */
-RunResult
-streamWith(double fault_rate, bool reliable, int packets)
+platform::PrototypeConfig
+configFor(double fault_rate, bool reliable)
 {
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    pcie::PcieFabric fabric(eq, 63, 16.0, &stats);
-
-    sim::FaultPlan plan;
-    plan.seed = 2023;
-    if (fault_rate > 0) {
-        plan.drop("pcie.write", fault_rate / 2);
-        plan.corrupt("bridge.tx", fault_rate / 2);
+    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse(kSpec);
+    if (reliable) {
+        // Zero-rate rules too: the 0% run consults the injector at every
+        // crossing, which must cost nothing.
+        cfg.reliability.enabled = true;
+        cfg.faultPlan.seed = 2023;
+        cfg.faultPlan.drop("bridge.tx", fault_rate / 2);
+        cfg.faultPlan.corrupt("bridge.tx", fault_rate / 2);
     }
-    sim::FaultInjector fi(plan, &stats);
+    return cfg;
+}
 
-    bridge::BridgeConfig cfg;
-    cfg.creditsPerNoc = 32;
-    cfg.creditPollInterval = 32;
-    cfg.reliability.enabled = reliable;
-    cfg.reliability.ackTimeout = 64;
-    bridge::InterNodeBridge b0(0, 0, 0x0, eq, fabric, cfg, &stats);
-    bridge::InterNodeBridge b1(1, 1, 0x1000000, eq, fabric, cfg, &stats);
-    b0.addPeer(1, b1.windowBase());
-    b1.addPeer(0, b0.windowBase());
-    if (fault_rate > 0) {
-        fabric.setFaultInjector(&fi);
-        b0.setFaultInjector(&fi);
-        b1.setFaultInjector(&fi);
+/** Adds @p proto's crossings and repair counters to @p r. */
+void
+addLinkWork(RunResult &r, platform::Prototype &proto)
+{
+    const sim::StatRegistry &stats = proto.stats();
+    r.crossings += stats.counterValue("cs.bridge.crossings");
+    r.retransmits += stats.counterValue("bridge.retransmits");
+    r.crcErrors += stats.counterValue("bridge.crcErrors");
+    if (const sim::FaultInjector *fi = proto.faultInjector()) {
+        r.drops += fi->dropsInjected();
+        r.corruptions += fi->corruptionsInjected();
     }
+}
 
+/** Fig 7's probes over every ordered pair of cores. */
+void
+runProbes(RunResult &r, const platform::PrototypeConfig &cfg)
+{
+    platform::Prototype proto(cfg);
+    const std::uint32_t n = cfg.totalTiles();
+    double inter_sum = 0;
+    std::uint64_t inter_n = 0;
+    for (GlobalTileId s = 0; s < n; ++s) {
+        for (GlobalTileId d = 0; d < n; ++d) {
+            if (s == d)
+                continue;
+            Cycles c = proto.measureRoundTrip(s, d);
+            r.probeCycles += c;
+            if (s / cfg.tilesPerNode != d / cfg.tilesPerNode) {
+                inter_sum += static_cast<double>(c);
+                ++inter_n;
+            }
+        }
+    }
+    r.interNodeLatency = inter_sum / static_cast<double>(inter_n);
+    addLinkWork(r, proto);
+}
+
+/** Fig 8's 12-thread NUMA-off point: threads round-robin over nodes. */
+void
+runIntSortPoint(RunResult &r, const platform::PrototypeConfig &cfg)
+{
+    platform::Prototype proto(cfg);
+    std::vector<GlobalTileId> tiles;
+    for (std::uint32_t i = 0; i < kThreads; ++i) {
+        tiles.push_back((i % cfg.totalNodes()) * cfg.tilesPerNode +
+                        i / cfg.totalNodes());
+    }
+    workload::IntSortConfig sort_cfg;
+    sort_cfg.keys = kKeys;
+    auto guest = proto.makeGuest(os::NumaMode::kOff);
+    workload::IntSortResult res = workload::runIntSort(*guest, tiles,
+                                                       sort_cfg);
+    r.intsortCycles = res.cycles;
+    r.sorted = res.sorted;
+    addLinkWork(r, proto);
+}
+
+RunResult
+runAt(double fault_rate, bool reliable)
+{
     RunResult r;
     r.faultRate = fault_rate;
     r.reliable = reliable;
-    b1.setDeliverFn([&](const noc::Packet &) { ++r.delivered; });
-
-    for (int i = 0; i < packets; ++i) {
-        noc::Packet p;
-        p.srcNode = 0;
-        p.srcTile = 1;
-        p.dstNode = 1;
-        p.dstTile = 2;
-        p.type = noc::MsgType::kDataResp;
-        p.addr = 0x1000 + static_cast<Addr>(i) * 64;
-        p.payload.assign(8, 0xabcdef);
-        b0.sendPacket(p);
-    }
-    eq.run();
-    r.cycles = eq.now();
-    r.retransmits = b0.retransmits();
-    r.crcErrors = b1.crcErrors();
-    r.duplicates = b1.duplicatesSuppressed();
-    r.faultsInjected = fi.dropsInjected() + fi.corruptionsInjected();
+    platform::PrototypeConfig cfg = configFor(fault_rate, reliable);
+    runProbes(r, cfg);
+    runIntSortPoint(r, cfg);
     return r;
+}
+
+const char *
+verdict(bool ok)
+{
+    return ok ? "PASS" : "FAIL";
 }
 
 } // namespace
@@ -96,66 +148,100 @@ streamWith(double fault_rate, bool reliable, int packets)
 int
 main()
 {
-    const int kPackets = 500;
     const double rates[] = {0.0, 0.001, 0.01};
 
-    std::printf("=== Fault resilience: reliable bridge link under "
-                "drop+corrupt storms (%d x 10-flit packets) ===\n\n",
-                kPackets);
+    std::printf("=== Fault resilience: bridge.tx drop+corrupt on the "
+                "inter-node crossing, %s ===\n",
+                kSpec);
+    std::printf("workloads: Fig 7 probes (every ordered core pair), Fig 8 "
+                "intsort (%u threads, NUMA off, %llu keys)\n\n",
+                kThreads, static_cast<unsigned long long>(kKeys));
 
-    // Zero-cost check: reliability off, no faults = the seed bridge.
-    RunResult base = streamWith(0.0, false, kPackets);
+    std::vector<RunResult> runs;
+    for (double rate : rates)
+        runs.push_back(runAt(rate, true));
+    runs.push_back(runAt(0.0, false));
 
-    std::printf("%10s %10s %12s %16s %12s %10s %10s\n", "fault rate",
-                "delivered", "cycles", "flits/100cyc", "retransmits",
+    std::printf("%10s %8s %12s %10s %14s %6s %10s %11s %8s %7s\n",
+                "fault rate", "reliable", "probe cyc", "inter mean",
+                "intsort cyc", "sorted", "crossings", "retransmits",
                 "crc rej", "faults");
-    std::vector<RunResult> results;
-    for (double rate : rates) {
-        RunResult r = streamWith(rate, true, kPackets);
-        results.push_back(r);
-        double flit_rate =
-            100.0 * kPackets * 10 / static_cast<double>(r.cycles);
-        std::printf("%9.2f%% %10d %12llu %15.1f %12llu %10llu %10llu\n",
-                    rate * 100, r.delivered,
-                    static_cast<unsigned long long>(r.cycles), flit_rate,
+    for (const RunResult &r : runs) {
+        std::printf("%9.2f%% %8s %12llu %10.1f %14llu %6s %10llu %11llu "
+                    "%8llu %7llu\n",
+                    r.faultRate * 100, r.reliable ? "on" : "off",
+                    static_cast<unsigned long long>(r.probeCycles),
+                    r.interNodeLatency,
+                    static_cast<unsigned long long>(r.intsortCycles),
+                    r.sorted ? "yes" : "NO",
+                    static_cast<unsigned long long>(r.crossings),
                     static_cast<unsigned long long>(r.retransmits),
                     static_cast<unsigned long long>(r.crcErrors),
-                    static_cast<unsigned long long>(r.faultsInjected));
+                    static_cast<unsigned long long>(r.faultsInjected()));
     }
 
-    std::printf("\njson: {\"bench\": \"fault_resilience\", "
-                "\"packets\": %d, \"baseline_cycles\": %llu, \"runs\": [",
-                kPackets, static_cast<unsigned long long>(base.cycles));
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
-        std::printf("%s{\"fault_rate\": %g, \"cycles\": %llu, "
-                    "\"delivered\": %d, \"retransmits\": %llu, "
-                    "\"crc_errors\": %llu, \"duplicates\": %llu, "
-                    "\"faults_injected\": %llu}",
+    bool sorted = true;
+    bool repaired = true;
+    for (const RunResult &r : runs) {
+        sorted = sorted && r.sorted;
+        repaired = repaired && r.retransmits == r.faultsInjected() &&
+                   r.crcErrors == r.corruptions;
+    }
+    const RunResult &zero = runs[0];
+    const RunResult &lossless = runs.back();
+    bool zero_cost = zero.probeCycles == lossless.probeCycles &&
+                     zero.interNodeLatency == lossless.interNodeLatency &&
+                     zero.intsortCycles == lossless.intsortCycles &&
+                     zero.crossings == lossless.crossings &&
+                     zero.retransmits == 0 && zero.faultsInjected() == 0;
+    bool monotone = true;
+    for (std::size_t i = 1; i < std::size(rates); ++i) {
+        monotone = monotone &&
+                   runs[i].probeCycles >= runs[i - 1].probeCycles &&
+                   runs[i].intsortCycles >= runs[i - 1].intsortCycles;
+    }
+
+    std::printf("\njson: {\"bench\": \"fault_resilience\", \"spec\": "
+                "\"%s\", \"threads\": %u, \"keys\": %llu, \"runs\": [",
+                kSpec, kThreads, static_cast<unsigned long long>(kKeys));
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const RunResult &r = runs[i];
+        std::printf("%s{\"fault_rate\": %g, \"reliable\": %s, "
+                    "\"probe_cycles\": %llu, \"inter_node_latency\": %.3f, "
+                    "\"intsort_cycles\": %llu, \"sorted\": %s, "
+                    "\"crossings\": %llu, \"retransmits\": %llu, "
+                    "\"crc_errors\": %llu, \"faults_injected\": %llu}",
                     i ? ", " : "", r.faultRate,
-                    static_cast<unsigned long long>(r.cycles), r.delivered,
+                    r.reliable ? "true" : "false",
+                    static_cast<unsigned long long>(r.probeCycles),
+                    r.interNodeLatency,
+                    static_cast<unsigned long long>(r.intsortCycles),
+                    r.sorted ? "true" : "false",
+                    static_cast<unsigned long long>(r.crossings),
                     static_cast<unsigned long long>(r.retransmits),
                     static_cast<unsigned long long>(r.crcErrors),
-                    static_cast<unsigned long long>(r.duplicates),
-                    static_cast<unsigned long long>(r.faultsInjected));
+                    static_cast<unsigned long long>(r.faultsInjected()));
     }
-    std::printf("]}\n");
+    std::printf("], \"checks\": {\"sorted\": %s, \"repaired\": %s, "
+                "\"zero_cost\": %s, \"monotone\": %s}}\n",
+                sorted ? "true" : "false", repaired ? "true" : "false",
+                zero_cost ? "true" : "false", monotone ? "true" : "false");
 
-    bool all_delivered = true;
-    for (const RunResult &r : results)
-        all_delivered = all_delivered && r.delivered == kPackets;
-    std::printf("\nexpected: delivery stays exactly-once at every rate; "
-                "cycle cost rises with the fault rate (each repair costs "
-                "a backoff plus a PCIe round trip)\n");
-    std::printf("delivery check (every run delivered all %d packets): "
-                "%s\n",
-                kPackets, all_delivered ? "PASS" : "FAIL");
-    std::printf("zero-cost check (fault-free reliable run within 25%% of "
-                "the raw bridge): %s (%llu vs %llu cycles)\n",
-                results[0].cycles <= base.cycles + base.cycles / 4
-                    ? "PASS"
-                    : "FAIL",
-                static_cast<unsigned long long>(results[0].cycles),
-                static_cast<unsigned long long>(base.cycles));
-    return all_delivered ? 0 : 1;
+    std::printf("\nexpected: exact results at every rate; each repair "
+                "costs a backoff plus another pass through the bridge "
+                "and PCIe servers\n");
+    std::printf("sort check (intsort sorted in every run): %s\n",
+                verdict(sorted));
+    std::printf("repair check (retransmits = drops + corruptions, CRC "
+                "errors = corruptions): %s\n",
+                verdict(repaired));
+    std::printf("zero-cost check (0%% reliable run equals the lossless "
+                "run exactly): %s\n",
+                verdict(zero_cost));
+    std::printf("monotone check (probe and intsort cycles do not fall as "
+                "the rate rises): %s\n",
+                verdict(monotone));
+    bool ok = sorted && repaired && zero_cost && monotone;
+    std::printf("shape check (all of the above): %s\n", verdict(ok));
+    return ok ? 0 : 1;
 }

@@ -254,7 +254,7 @@ CoherentSystem::repairCrossing(NodeId sn, NodeId dn, std::uint32_t bytes,
                 "bridge link unrecoverable: replay retries exhausted "
                 "(persistent loss or corruption)");
         stats_->counter(kRetransmits).increment();
-        t += bridge::replayBackoff(reliability_.ackTimeout, replays);
+        t += replayBackoff(reliability_.ackTimeout, replays);
         t = bridgeOut_[sn].send(t, bytes);
         t = pcieOut_[sn].send(t, bytes);
         t = bridgeIn_[dn].send(t, bytes);

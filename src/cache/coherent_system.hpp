@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -24,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "bridge/link_reliability.hpp"
 #include "cache/cache_array.hpp"
 #include "cache/line_table.hpp"
 #include "mem/main_memory.hpp"
@@ -148,6 +148,28 @@ struct TimingParams
 
     Cycles pcieOneWay() const { return (pcieRtt + 1) / 2; }
 };
+
+/** Repair policy of the inter-node crossing. `enabled = false` keeps
+ *  the paper's lossless link, on which a drop or corruption is fatal;
+ *  enabled, a lost or corrupted crossing is replayed after a backoff
+ *  that doubles per failed attempt, and past maxRetries replays the
+ *  link is unrecoverable and panics. */
+struct ReliabilityConfig
+{
+    bool enabled = false;
+    std::uint32_t maxRetries = 16; ///< Replays per crossing before the
+                                   ///< link panics as unrecoverable.
+    Cycles ackTimeout = 128;       ///< Replay backoff base.
+};
+
+/** Cycles to wait before the replay that follows @p level earlier
+ *  replays of the same crossing: ackTimeout, doubled per level up to
+ *  256x. */
+constexpr Cycles
+replayBackoff(Cycles ack_timeout, std::uint32_t level)
+{
+    return ack_timeout << std::min<std::uint32_t>(level, 8);
+}
 
 /** Outcome of one timed access. */
 struct AccessResult
@@ -442,12 +464,12 @@ class CoherentSystem
      * Attaches a fault injector to the inter-node crossing (null to
      * detach). Every crossing then decides site "bridge.tx": a delay
      * adds cycles; a drop or corruption is replayed through the same
-     * bridge and PCIe servers after bridge::replayBackoff() when
+     * bridge and PCIe servers after replayBackoff() when
      * @p rel is enabled (counted in bridge.retransmits, corruptions also
      * in bridge.crcErrors) and raises FatalError when it is not.
      */
     void setLinkFaults(sim::FaultInjector *fi,
-                       const bridge::ReliabilityConfig &rel)
+                       const ReliabilityConfig &rel)
     {
         fault_ = fi;
         reliability_ = rel;
@@ -700,7 +722,7 @@ class CoherentSystem
      *  Last, so they shift none of the access path's members: placed
      *  beside the link servers, they cost perfbench phased_memory ~5%. */
     sim::FaultInjector *fault_ = nullptr;
-    bridge::ReliabilityConfig reliability_;
+    ReliabilityConfig reliability_;
 };
 
 } // namespace smappic::cache

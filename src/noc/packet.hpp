@@ -6,9 +6,8 @@
  * requests, NoC2: responses/data, NoC3: writebacks/acks) to guarantee
  * protocol-level deadlock freedom. The intra-node meshes are timed at
  * transaction level (cache::CoherentSystem); this packet format is the
- * wire format of the standalone inter-node bridge model and the
- * interrupt packetizer, so the flit encoding here is an explicit,
- * round-trippable bit layout.
+ * wire format of the interrupt packetizer, so the flit encoding here is
+ * an explicit, round-trippable bit layout.
  */
 
 #pragma once
@@ -51,7 +50,7 @@ enum class MsgType : std::uint8_t
     kNcLoadResp = 14, ///< Non-cacheable load response.
     kNcStoreResp = 15, ///< Non-cacheable store acknowledgement.
     kInterrupt = 16,  ///< Interrupt packetizer notification.
-    kCreditReturn = 17, ///< Inter-node bridge credit accounting.
+    kCreditReturn = 17, ///< Bridge credit accounting (no model sends it).
 };
 
 /** Tile id that addresses a node's off-mesh chipset/bridge hub. */

@@ -39,7 +39,7 @@ enum class Component : std::uint8_t
     kCache = 0,  ///< CoherentSystem miss path.
     kNoc = 1,    ///< NoC paths (transaction) and router hops (flit).
     kPcie = 2,   ///< PCIe fabric transactions.
-    kBridge = 3, ///< Inter-node bridge frames.
+    kBridge = 3, ///< Retired bridge frames (kinds 7 and 8).
     kCore = 4,   ///< Core commit/stall events.
     kDecodeCache = 5, ///< Decode-cache fills/flushes (opt-in).
 };
@@ -80,8 +80,9 @@ enum class EventKind : std::uint8_t
     kNocPath = 2,     ///< Transaction-level NoC traversal (arg=route).
     kPcieWrite = 5,   ///< Fabric write issued (duration=one-way transit).
     kPcieRead = 6,    ///< Fabric read issued.
-    kBridgeTx = 7,    ///< Encapsulated AXI frame sent (extra=valid mask).
-    kBridgeRx = 8,    ///< Packet reassembled on the receive side.
+    kBridgeTx = 7,    ///< Retired (packet-level bridge frame sent); no
+                      ///< model emits it, older traces still decode.
+    kBridgeRx = 8,    ///< Retired (packet reassembled), likewise.
     kCoreCommit = 9,  ///< Instruction retired (arg=pc, duration=cycles).
     kCoreStall = 10,  ///< Retirement took >= the configured threshold.
     kDecodeFill = 11, ///< Decode-cache fill (arg=pc).

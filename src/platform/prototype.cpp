@@ -1064,36 +1064,45 @@ Prototype::runCores(const std::vector<GlobalTileId> &gids,
 
     sim::ParallelExecutor exec(cfg_.workers());
 
-    while (true) {
-        init_run();
-        recovery_pending = false;
-        exec.run(nodes, confined_phase, barrier);
-        if (!recovery_pending)
-            break;
+    // The shards merge back in node order on every exit, a throwing one
+    // included, so a failed run's stats still show what it counted.
+    auto merge_shards = [&]() {
+        for (sim::StatRegistry &shard : shards)
+            stats_.mergeFrom(shard);
+    };
+    try {
+        while (true) {
+            init_run();
+            recovery_pending = false;
+            exec.run(nodes, confined_phase, barrier);
+            if (!recovery_pending)
+                break;
 
-        // Roll back to the last good checkpoint and go again. restore()
-        // rewinds the registry to the checkpoint's counts, so the
-        // watchdog's lifetime totals are re-applied afterwards — the
-        // recovery must stay visible in the final stats.
-        restore(last_checkpoint);
-        watchdog.noteRecovery();
-        watchdog.rebase();
-        auto &stalls = stats_.counter(kWatchdogStallsDetected);
-        if (watchdog.stallsDetected() > stalls.value())
-            stalls.increment(watchdog.stallsDetected() - stalls.value());
-        auto &recoveries = stats_.counter(kWatchdogRecoveries);
-        if (watchdog.recoveries() > recoveries.value())
-            recoveries.increment(watchdog.recoveries() -
-                                 recoveries.value());
-        auto &wedges = stats_.counter(kFaultNodeWedge);
-        if (wedge_count > wedges.value())
-            wedges.increment(wedge_count - wedges.value());
-        wedge_disarmed = true;
-        std::fill(wedged.begin(), wedged.end(), false);
+            // Roll back to the last good checkpoint and go again. restore()
+            // rewinds the registry to the checkpoint's counts, so the
+            // watchdog's lifetime totals are re-applied afterwards — the
+            // recovery must stay visible in the final stats.
+            restore(last_checkpoint);
+            watchdog.noteRecovery();
+            watchdog.rebase();
+            auto &stalls = stats_.counter(kWatchdogStallsDetected);
+            if (watchdog.stallsDetected() > stalls.value())
+                stalls.increment(watchdog.stallsDetected() - stalls.value());
+            auto &recoveries = stats_.counter(kWatchdogRecoveries);
+            if (watchdog.recoveries() > recoveries.value())
+                recoveries.increment(watchdog.recoveries() -
+                                     recoveries.value());
+            auto &wedges = stats_.counter(kFaultNodeWedge);
+            if (wedge_count > wedges.value())
+                wedges.increment(wedge_count - wedges.value());
+            wedge_disarmed = true;
+            std::fill(wedged.begin(), wedged.end(), false);
+        }
+    } catch (...) {
+        merge_shards();
+        throw;
     }
-
-    for (std::uint32_t n = 0; n < nodes; ++n)
-        stats_.mergeFrom(shards[n]);
+    merge_shards();
 
     // A done core's reason is read off the core itself, whose state a
     // checkpoint carries: a core that finished before the checkpoint a
@@ -1272,9 +1281,12 @@ void
 Prototype::checkpoint(const std::string &path)
 {
     fatalIf(!quiesce(kExplicitQuiesceBudget),
-            strfmt("checkpoint '%s': pending device events will not "
-                   "drain (degraded link probes?)",
-                   path.c_str()));
+            strfmt("checkpoint '%s': pending device events did not "
+                   "drain within %llu events (a device keeps re-arming "
+                   "itself?)",
+                   path.c_str(),
+                   static_cast<unsigned long long>(
+                       kExplicitQuiesceBudget)));
     stats_.counter(kSnapCheckpoints).increment();
     writeCheckpoint(path);
 }

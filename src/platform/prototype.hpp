@@ -28,7 +28,6 @@
 
 #include "accel/gng.hpp"
 #include "accel/maple.hpp"
-#include "bridge/link_reliability.hpp"
 #include "cache/coherent_system.hpp"
 #include "check/coherence_checker.hpp"
 #include "check/lockstep.hpp"
@@ -133,8 +132,8 @@ struct PrototypeConfig
     sim::FaultPlan faultPlan;
     /** Repair of crossing drops and corruptions: replay after a backoff
      *  when enabled, FatalError when off (the default, the paper's
-     *  lossless link); see bridge::ReliabilityConfig. */
-    bridge::ReliabilityConfig reliability;
+     *  lossless link); see cache::ReliabilityConfig. */
+    cache::ReliabilityConfig reliability;
     /**
      * Shape of the run engine behind runCores(): nodes advance in quanta
      * bounded by the PCIe one-way lookahead and finish cross-node steps
@@ -308,8 +307,8 @@ class Prototype
      * Writes a full-system SMCK checkpoint to @p path. The platform must
      * be able to quiesce: every pending device event is drained first
      * (advancing virtual time past the last one), and the call fatals
-     * when the queue refuses to drain — e.g. while a degraded peer's
-     * probe loop is re-arming itself.
+     * when the queue does not drain within a fixed event budget, i.e.
+     * while some device keeps re-arming its own events.
      */
     void checkpoint(const std::string &path);
 

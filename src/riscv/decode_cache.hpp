@@ -14,7 +14,7 @@
  *
  * Correctness contract (see docs/INTERNALS.md "Decode cache"):
  *  - An entry is served only while its page write stamp is unchanged, so
- *    any overlapping store/atomic/DMA/bridge write — all of which funnel
+ *    any overlapping store/atomic/DMA/fabric write — all of which funnel
  *    through MainMemory — invalidates it functionally.
  *  - The core only consults the cache when the fetch would hit the L1I
  *    (MemPort::fetchFastHit), which replicates the hit path's timing and

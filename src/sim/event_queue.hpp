@@ -2,10 +2,10 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The packet/cycle-level models (the PCIe fabric, the standalone bridge
- * model, UARTs and other devices) are driven by a single EventQueue. Events scheduled for the same
- * cycle fire in FIFO order of scheduling, which keeps component pipelines
- * deterministic.
+ * The packet/cycle-level models (the PCIe fabric, UARTs and other
+ * devices) are driven by a single EventQueue. Events scheduled for the
+ * same cycle fire in FIFO order of scheduling, which keeps component
+ * pipelines deterministic.
  */
 
 #pragma once

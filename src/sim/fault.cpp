@@ -162,7 +162,6 @@ FaultInjector::decide(std::string_view site)
             continue;
         if (!state.rng.chance(r.probability))
             continue;
-        count(r.kind);
         switch (r.kind) {
           case FaultKind::kDrop:
             d.drop = true;
@@ -172,11 +171,23 @@ FaultInjector::decide(std::string_view site)
             break;
           case FaultKind::kDelay:
             d.extraDelay += r.delay;
+            count(r.kind);
             break;
           case FaultKind::kSlvErr:
             d.slvErr = true;
+            count(r.kind);
             break;
         }
+    }
+    // A lost or corrupted copy is counted once per event, so that each
+    // counted drop or corruption is one copy to repair. A lost copy never
+    // arrives, so a corruption drawn for it is moot. Every rule still
+    // draws above, so the site's stream does not depend on what fired.
+    if (d.drop) {
+        d.corrupt = false;
+        count(FaultKind::kDrop);
+    } else if (d.corrupt) {
+        count(FaultKind::kCorrupt);
     }
     return d;
 }

@@ -11,8 +11,7 @@
  * "bridge.tx" on every inter-node crossing of coherence traffic
  * (cache::CoherentSystem::nocPath), "pcie.write"/"pcie.read" in the PCIe
  * fabric and "node.wedge.node<N>" at quantum barriers, and refuses a rule
- * that matches none of them; the standalone bridge::InterNodeBridge
- * evaluates "bridge.tx" and "bridge.creditRead".
+ * that matches none of them.
  *
  * Determinism: every site draws from its own xoroshiro stream seeded from
  * (plan seed, site name), so decisions at one site are independent of how
@@ -114,6 +113,9 @@ class FaultInjector
      * event counter; rules whose site is a prefix of @p site and whose
      * window covers the event may fire. Fault counts are recorded under
      * "fault.drop" / "fault.corrupt" / "fault.delay" / "fault.slverr".
+     * A drop or a corruption counts at most once per event, and a drop
+     * makes a corruption drawn for the same event moot: the decision
+     * then carries and counts only the drop.
      */
     FaultDecision decide(std::string_view site);
 

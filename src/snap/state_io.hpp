@@ -12,8 +12,8 @@
  * Everything is little-endian. The config hash fingerprints the
  * PrototypeConfig that produced the file, so a restore into a differently
  * shaped prototype fails up front instead of corrupting state. Each
- * section payload carries its own CRC-32 (the same polynomial the
- * reliable bridge uses), verified on open, so torn or bit-rotted files
+ * section payload carries its own CRC-32 (sim::crc32, IEEE 802.3),
+ * verified on open, so torn or bit-rotted files
  * are rejected deterministically.
  *
  * Determinism rules for writers of section payloads:

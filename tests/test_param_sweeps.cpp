@@ -10,7 +10,6 @@
 #include <set>
 #include <tuple>
 
-#include "bridge/inter_node_bridge.hpp"
 #include "cache/coherent_system.hpp"
 #include "platform/prototype.hpp"
 #include "sim/random.hpp"
@@ -156,45 +155,6 @@ INSTANTIATE_TEST_SUITE_P(Configs, ConfigSweep,
                                      c = '_';
                              return n;
                          });
-
-// ---------------- Bridge credit sweep ----------------
-
-class BridgeCreditSweep : public ::testing::TestWithParam<std::uint32_t>
-{
-};
-
-TEST_P(BridgeCreditSweep, LosslessAtAnyWindowDepth)
-{
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    pcie::PcieFabric fabric(eq, 63, 16.0, &stats);
-    bridge::BridgeConfig cfg;
-    cfg.creditsPerNoc = GetParam();
-    cfg.creditPollInterval = 24;
-    bridge::InterNodeBridge a(0, 0, 0x0, eq, fabric, cfg, &stats);
-    bridge::InterNodeBridge b(1, 1, 0x1000000, eq, fabric, cfg, &stats);
-    a.addPeer(1, b.windowBase());
-    b.addPeer(0, a.windowBase());
-    int delivered = 0;
-    b.setDeliverFn([&](const noc::Packet &) { ++delivered; });
-
-    for (int i = 0; i < 60; ++i) {
-        noc::Packet p;
-        p.srcNode = 0;
-        p.dstNode = 1;
-        p.dstTile = 3;
-        p.type = noc::MsgType::kReqRd;
-        p.addr = static_cast<Addr>(i) * 64;
-        p.payload.assign(i % 9, 1);
-        a.sendPacket(p);
-    }
-    eq.run();
-    EXPECT_EQ(delivered, 60);
-    EXPECT_TRUE(a.sendIdle());
-}
-
-INSTANTIATE_TEST_SUITE_P(Depths, BridgeCreditSweep,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 16u, 64u));
 
 } // namespace
 } // namespace smappic

@@ -44,7 +44,7 @@ TEST(Prototype, RejectsFaultRulesThatReachNoHook)
         Prototype proto(cfg);
     };
     for (const char *site : {"dram.read", "memctrl.resp",
-                             "bridge.creditRead", "node.wedge.node9"})
+                             "bridge.rx", "node.wedge.node9"})
         EXPECT_THROW(build(site), FatalError) << site;
     for (const char *site : {"bridge", "bridge.tx", "pcie", "pcie.read",
                              "node.wedge", "node.wedge.node1"})

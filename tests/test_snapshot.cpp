@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bridge/inter_node_bridge.hpp"
 #include "check/torture.hpp"
 #include "mem/main_memory.hpp"
 #include "platform/prototype.hpp"
@@ -569,66 +568,30 @@ TEST(FaultPlanEdges, ZeroRatePlanInjectsNothing)
     EXPECT_EQ(stats.find("bridge.retransmits"), std::string::npos);
 }
 
-noc::Packet
-bridgePacket(NodeId src, NodeId dst, std::uint64_t seq)
-{
-    noc::Packet p;
-    p.noc = noc::NocIndex::kNoc1;
-    p.srcNode = src;
-    p.srcTile = 0;
-    p.dstNode = dst;
-    p.dstTile = 1;
-    p.type = noc::MsgType::kDataResp;
-    p.addr = seq;
-    p.payload.push_back(seq);
-    return p;
-}
-
 TEST(FaultPlanEdges, SaturatingDropsDegradeDeterministically)
 {
-    // Every credit read of a standalone reliable bridge pair dropped
-    // forever: the link must not spin on the wire — accumulated poll
-    // failures deterministically mark the peer degraded within a bounded
-    // horizon. The degraded peer keeps probing while traffic waits, so
-    // the horizon is enforced with runUntil rather than run().
-    sim::FaultPlan plan;
-    plan.seed = 11;
-    plan.drop("bridge.creditRead", 1.0);
-    bridge::BridgeConfig bcfg;
-    bcfg.reliability.enabled = true;
+    // Every crossing of a reliable link dropped, forever: the first
+    // crossing exhausts its replays and the run panics at the same
+    // point, with the same stats, at any worker count.
+    std::string dumps[2];
+    for (std::uint32_t threads : {1u, 2u}) {
+        platform::PrototypeConfig cfg = tortureProtoConfig(threads, 0, "");
+        cfg.reliability.enabled = true;
+        cfg.reliability.maxRetries = 4;
+        cfg.faultPlan.seed = 11;
+        cfg.faultPlan.drop("bridge.tx", 1.0);
+        platform::Prototype proto(cfg);
+        proto.loadSource(tortureWorkload().source);
+        EXPECT_THROW(runWorkload(proto), PanicError);
 
-    std::uint64_t degraded[2] = {0, 0};
-    std::uint64_t drops[2] = {0, 0};
-    for (int round = 0; round < 2; ++round) {
-        sim::EventQueue eq;
-        sim::StatRegistry stats;
-        pcie::PcieFabric fabric(eq, 63, 16.0, &stats);
-        sim::FaultInjector fi(plan, &stats);
-        bridge::InterNodeBridge b0(0, 0, 0x0, eq, fabric, bcfg, &stats);
-        bridge::InterNodeBridge b1(1, 1, 0x100000, eq, fabric, bcfg,
-                                   &stats);
-        b0.setFaultInjector(&fi);
-        b1.setFaultInjector(&fi);
-        b0.addPeer(1, b1.windowBase());
-        b1.addPeer(0, b0.windowBase());
-        std::vector<noc::Packet> at1;
-        b1.setDeliverFn([&](const noc::Packet &p) { at1.push_back(p); });
-        // More packets than the per-NoC credit pool: the sender runs
-        // out of credits and has to poll.
-        for (std::uint64_t i = 0; i < 64; ++i)
-            b0.sendPacket(bridgePacket(0, 1, i));
-        eq.runUntil(2'000'000);
-
-        EXPECT_TRUE(b0.peerDegraded(1));
-        EXPECT_LT(at1.size(), 64u); // The tail is stuck behind credits.
-        degraded[round] = stats.counter("bridge.peerDegraded").value();
-        drops[round] = stats.counter("fault.drop").value();
-        EXPECT_GE(degraded[round], 1u);
-        EXPECT_GE(drops[round], 1u);
+        // The first copy and its 4 replays were all lost.
+        EXPECT_EQ(proto.faultInjector()->dropsInjected(), 5u);
+        EXPECT_EQ(proto.stats().counterValue("bridge.retransmits"), 4u);
+        std::ostringstream os;
+        proto.stats().dump(os);
+        dumps[threads - 1] = os.str();
     }
-    // Deterministic verdict: both rounds fail identically.
-    EXPECT_EQ(degraded[0], degraded[1]);
-    EXPECT_EQ(drops[0], drops[1]);
+    EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 } // namespace
