@@ -1,9 +1,8 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the substrate components: packet
- * (de)serialization, cache arrays, the coherent-system access walk, the
- * guest-OS fiber yield, stat updates, the event queue and the RISC-V
- * interpreter.
+ * google-benchmark microbenchmarks of the substrate components: cache
+ * arrays, the coherent-system access walk, the guest-OS fiber yield, stat
+ * updates, the event queue and the RISC-V interpreter.
  * These guard the simulator's own performance (host-side), not target
  * metrics.
  */
@@ -14,7 +13,6 @@
 
 #include "cache/coherent_system.hpp"
 #include "mem/main_memory.hpp"
-#include "noc/packet.hpp"
 #include "os/guest_system.hpp"
 #include "riscv/assembler.hpp"
 #include "riscv/core.hpp"
@@ -26,22 +24,6 @@ using namespace smappic;
 
 namespace
 {
-
-void
-BM_PacketSerializeRoundTrip(benchmark::State &state)
-{
-    noc::Packet p;
-    p.srcTile = 1;
-    p.dstTile = 9;
-    p.type = noc::MsgType::kDataResp;
-    p.addr = 0x123456789a;
-    p.payload.assign(8, 0xdead);
-    for (auto _ : state) {
-        auto flits = noc::serialize(p);
-        benchmark::DoNotOptimize(noc::deserialize(flits));
-    }
-}
-BENCHMARK(BM_PacketSerializeRoundTrip);
 
 void
 BM_CacheArrayLookup(benchmark::State &state)

@@ -9,8 +9,9 @@
  * Lambda returns to the client.
  *
  * Every byte really moves through the modeled substrate: the S3 object
- * rides the PCIe fabric into SD memory; the request and response ride the
- * tunnelled UART; the guest executes real RISC-V instructions.
+ * rides the PCIe fabric into SD memory; the request and response ride
+ * node 0's console UART through the host's io::VirtualSerial; the guest
+ * executes real RISC-V instructions.
  */
 
 #include <cstdio>

@@ -6,6 +6,8 @@
  * the workflow a systems researcher would use SMAPPIC for.
  *
  *   $ ./numa_study [threads]
+ *
+ * Exits non-zero when either sort leaves its keys unsorted.
  */
 
 #include <cstdio>
@@ -43,11 +45,14 @@ main(int argc, char **argv)
     for (std::uint32_t i = 0; i < threads; ++i)
         tiles.push_back((i % 4) * 12 + i / 4);
 
+    bool all_sorted = true;
+
     for (auto mode : {os::NumaMode::kOn, os::NumaMode::kOff}) {
         platform::Prototype proto(
             platform::PrototypeConfig::parse("4x1x12"));
         auto guest = proto.makeGuest(mode);
         auto r = runIntSort(*guest, tiles, cfg);
+        all_sorted = all_sorted && r.sorted;
         std::printf("NUMA %-3s: %9llu cycles (%s), %4.1f%% of misses "
                     "serviced remotely\n",
                     mode == os::NumaMode::kOn ? "on" : "off",
@@ -60,5 +65,5 @@ main(int argc, char **argv)
             std::printf(" %llu", static_cast<unsigned long long>(p));
         std::printf("\n");
     }
-    return 0;
+    return all_sorted ? 0 : 1;
 }

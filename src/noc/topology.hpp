@@ -11,12 +11,14 @@
 #include <cstdlib>
 #include <vector>
 
-#include "noc/packet.hpp"
 #include "sim/log.hpp"
 #include "sim/types.hpp"
 
 namespace smappic::noc
 {
+
+/** Tile id that addresses a node's off-mesh chipset/bridge hub. */
+inline constexpr TileId kOffChipTile = 0xff;
 
 /** Coordinates of a router in the mesh. */
 struct Coord

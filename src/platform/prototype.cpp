@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/trace_io.hpp"
 #include "sim/log.hpp"
@@ -165,7 +167,17 @@ PrototypeConfig::parse(const std::string &spec)
             fatalIf(cur.empty() || idx >= 3,
                     "bad configuration spec '" + spec +
                         "' (want AxBxC, e.g. 4x1x12)");
-            vals[idx++] = static_cast<std::uint32_t>(std::stoul(cur));
+            // Digits only, so the one way to fail is a value too big.
+            std::uint64_t v = 0;
+            try {
+                v = std::stoull(cur);
+            } catch (const std::out_of_range &) {
+                v = ~0ULL;
+            }
+            fatalIf(v > std::numeric_limits<std::uint32_t>::max(),
+                    "configuration dimension '" + cur + "' in '" + spec +
+                        "' is out of range");
+            vals[idx++] = static_cast<std::uint32_t>(v);
             cur.clear();
         } else if (std::isdigit(static_cast<unsigned char>(c))) {
             cur += c;
@@ -368,41 +380,21 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
         return static_cast<FpgaId>(n / cfg.nodesPerFpga);
     };
 
-    // CLINT + packetizer (cores receive interrupt packets).
+    // CLINT: its wire changes drive the cores' interrupt lines.
     clint_ = std::make_unique<riscv::ClintController>(cfg.totalTiles());
-    packetizer_ = std::make_unique<riscv::IrqPacketizer>(
-        0,
-        [this](const noc::Packet &pkt) {
-            // A wire change raised inside a node phase for a core on
-            // *another* node travels through the mailbox and lands at the
-            // next quantum boundary (conservatively within the PCIe
-            // lookahead). Same-node and serial-context changes apply
-            // immediately.
-            NodeId acting = sim::currentNode();
-            if (acting != sim::kNoNode && pkt.dstNode != acting) {
-                stats_.counter(kPlatformIrqDeferred).increment();
-                router_.post([this, pkt] { deliverIrqPacket(pkt); });
-                return;
-            }
-            deliverIrqPacket(pkt);
-        },
-        [this](std::uint32_t hart) {
-            return std::make_pair<NodeId, TileId>(
-                hart / cfg_.tilesPerNode, hart % cfg_.tilesPerNode);
-        });
     clint_->setWireFn([this](std::uint32_t h, std::uint32_t irq, bool l) {
-        packetizer_->onWireChange(h, irq, l);
+        driveIrq(h, irq, l);
     });
     auto clint_adapter = std::make_unique<ClintNcAdapter>(*clint_);
     cs_->addDevice(kClintBase, kClintSize, 0, clint_adapter.get());
     ncAdapters_.push_back(std::move(clint_adapter));
 
     // PLIC: one external source per node's console UART; its hart lines
-    // ride the interrupt packetizer as machine-external interrupts.
+    // drive the cores' machine-external interrupts.
     plic_ = std::make_unique<riscv::PlicController>(nodes,
                                                     cfg.totalTiles());
     plic_->setWireFn([this](std::uint32_t hart, bool level) {
-        packetizer_->onWireChange(hart, riscv::kIrqMei, level);
+        driveIrq(hart, riscv::kIrqMei, level);
     });
     auto plic_adapter = std::make_unique<PlicNcAdapter>(*plic_);
     cs_->addDevice(kPlicBase, kPlicSize, 0, plic_adapter.get());
@@ -429,8 +421,7 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
             if (u == 0) {
                 serials_[n].attach(*uart);
                 // Console RX interrupts are PLIC source n+1; the PLIC
-                // raises the owning hart's machine-external line through
-                // the packetizer.
+                // raises the owning hart's machine-external line.
                 std::uint32_t src = n + 1;
                 uart->setIrqFn([this, src](bool level) {
                     plic_->setSourceLevel(src, level);
@@ -543,11 +534,9 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
         cores_[g]->setTracer(&tracer_, g / cfg_.tilesPerNode,
                              cfg_.trace.coreStallCycles);
 
-    // Run-engine wiring: cross-node interrupt packets raised inside a
-    // node phase travel through the mailbox. Functional memory takes its
-    // lock only when node phases can run on more than one worker; one
-    // worker spawns no thread, so the lock would order nothing.
-    router_.configure(nodes);
+    // Functional memory takes its lock only when node phases can run on
+    // more than one worker; one worker spawns no thread, so the lock
+    // would order nothing.
     if (cfg_.workers() > 1)
         cs_->memory().setConcurrent(true);
 }
@@ -567,12 +556,38 @@ Prototype::writeTrace(const std::string &path) const
 }
 
 void
-Prototype::deliverIrqPacket(const noc::Packet &pkt)
+Prototype::driveIrq(std::uint32_t hart, std::uint32_t irq, bool level)
 {
-    GlobalTileId gid = pkt.dstNode * cfg_.tilesPerNode + pkt.dstTile;
-    if (gid < cores_.size() && cores_[gid])
-        riscv::IrqDepacketizer::apply(pkt, *cores_[gid]);
+    // A change raised in one node's phase for a hart on another node
+    // lands at the next quantum barrier, within the PCIe lookahead.
+    // Same-node and serial-context changes apply at once.
+    NodeId acting = sim::currentNode();
+    if (acting != sim::kNoNode && hart / cfg_.tilesPerNode != acting) {
+        // A confined phase yields before any CLINT, PLIC or console
+        // access, so only a serial epoch remainder can get here.
+        panicIf(sim::confinedPhase(),
+                "interrupt-wire change deferred inside a confined phase");
+        stats_.counter(kPlatformIrqDeferred).increment();
+        deferredIrqs_.push_back({hart, irq, level});
+        return;
+    }
+    if (hart < cores_.size())
+        cores_[hart]->setIrqLine(irq, level);
     stats_.counter(kPlatformIrqPackets).increment();
+}
+
+std::uint64_t
+Prototype::applyDeferredIrqs()
+{
+    // In serial context every change applies at once, so none is
+    // appended while the list is walked.
+    panicIf(sim::currentNode() != sim::kNoNode,
+            "deferred interrupt-wire changes applied inside a node phase");
+    std::uint64_t applied = deferredIrqs_.size();
+    for (const IrqChange &c : deferredIrqs_)
+        driveIrq(c.hart, c.irq, c.level);
+    deferredIrqs_.clear();
+    return applied;
 }
 
 accel::GngAccelerator &
@@ -866,9 +881,9 @@ Prototype::runCores(const std::vector<GlobalTileId> &gids,
         }
     };
 
-    // An epoch with no instructions, no mailbox traffic and no device
-    // events cannot create progress later except through timer interrupts
-    // raised by the advancing mtime; bound how long we wait for one.
+    // An epoch with no instructions, no deferred wire changes and no
+    // device events cannot create progress later except through timer
+    // interrupts raised by the advancing mtime; bound how long we wait.
     const std::uint64_t idle_limit =
         std::max<std::uint64_t>(1, 1'000'000 / quantum);
 
@@ -896,9 +911,10 @@ Prototype::runCores(const std::vector<GlobalTileId> &gids,
                 node_phase(n);
             }
         }
-        // Then replay deferred cross-node interactions in deterministic
-        // mailbox order, and advance shared device time to the boundary.
-        std::uint64_t delivered = router_.drain();
+        // Then apply the interrupt-wire changes those remainders raised
+        // for other nodes' harts, in the order raised, and advance
+        // shared device time to the boundary.
+        std::uint64_t delivered = applyDeferredIrqs();
         clint_->setTime(boundary);
         std::uint64_t events = eq_.runUntil(boundary);
 
@@ -999,7 +1015,7 @@ Prototype::runCores(const std::vector<GlobalTileId> &gids,
         // Event-horizon idle skip (uncore.idleSkip): after an epoch with
         // no progress, every barrier strictly before the next horizon is
         // provably inert — node phases run nothing (all runnable cores
-        // sit at or past the boundary), drain() finds an empty mailbox,
+        // sit at or past the boundary), so no wire change is deferred,
         // setTime()/runUntil() cross no deadline, the watchdog observes
         // below every per-node deadline and no checkpoint mark passes.
         // Jump straight to the first barrier that can observe anything,
@@ -1009,7 +1025,7 @@ Prototype::runCores(const std::vector<GlobalTileId> &gids,
         // rule consumes injector RNG per barrier, and a barrier probe
         // is an arbitrary observer.
         if (cfg_.uncore.idleSkip && !progress && !barrierProbe_ &&
-            !(wedge_armed && !wedge_disarmed) && router_.pending() == 0) {
+            !(wedge_armed && !wedge_disarmed)) {
             Cycles horizon = sim::kNoDeadline;
             for (auto &node : ns) {
                 for (auto &s : node.cores) {
@@ -1169,7 +1185,7 @@ bool
 Prototype::quiesce(std::uint64_t max_events)
 {
     while (true) {
-        router_.drain();
+        applyDeferredIrqs();
         if (eq_.empty())
             return true;
         if (max_events == 0)

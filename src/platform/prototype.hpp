@@ -10,8 +10,8 @@
  *   - one RV64 core per tile wired to that memory system,
  *   - the F1 PCIe fabric, which carries the host's SD-image writes,
  *   - I/O: two UARTs per node (console + overclocked data), the CLINT
- *     interrupt controller with packetizer delivery, and a virtual SD
- *     card in the top half of each node's DRAM.
+ *     and PLIC interrupt controllers wired to the cores' interrupt
+ *     lines, and a virtual SD card in the top half of each node's DRAM.
  *
  * Users pick a configuration string ("4x1x12"), load a program and run —
  * mirroring the build-scripts-only flow the paper advertises.
@@ -341,13 +341,19 @@ class Prototype
     class CorePort;
     struct PhasedLive; ///< Live phased-run state visible to checkpoint().
 
-    /** Applies an interrupt packet to its destination core (serial
-     *  context or same-node phase only). */
-    void deliverIrqPacket(const noc::Packet &pkt);
+    /** CLINT and PLIC wire callback: drives @p hart's interrupt line
+     *  @p irq to @p level, at once from serial context or the hart's own
+     *  node phase, else at the next quantum barrier. */
+    void driveIrq(std::uint32_t hart, std::uint32_t irq, bool level);
 
-    /** Drains the mailbox and every pending device event, advancing
-     *  virtual time. @return False when more than @p max_events events
-     *  fire without the queue emptying (a self-re-arming loop). */
+    /** Applies the deferred wire changes in the order they were raised.
+     *  @return Changes applied. */
+    std::uint64_t applyDeferredIrqs();
+
+    /** Applies deferred wire changes and runs every pending device
+     *  event, advancing virtual time. @return False when more than
+     *  @p max_events events fire without the queue emptying (a
+     *  self-re-arming loop). */
     bool quiesce(std::uint64_t max_events);
 
     /** Serializes the whole platform; requires an empty event queue. */
@@ -376,7 +382,6 @@ class Prototype
     PrototypeConfig cfg_;
     sim::StatRegistry stats_;
     sim::EventQueue eq_;
-    sim::MailboxRouter router_;
     obs::Tracer tracer_;
 
     std::unique_ptr<cache::CoherentSystem> cs_;
@@ -389,7 +394,15 @@ class Prototype
     std::vector<std::unique_ptr<io::VirtualSdCard>> sdCards_;
     std::unique_ptr<riscv::ClintController> clint_;
     std::unique_ptr<riscv::PlicController> plic_;
-    std::unique_ptr<riscv::IrqPacketizer> packetizer_;
+    /** A wire change raised in one node's phase for another node's
+     *  hart, applied at the next barrier. */
+    struct IrqChange
+    {
+        std::uint32_t hart;
+        std::uint32_t irq;
+        bool level;
+    };
+    std::vector<IrqChange> deferredIrqs_;
 
     std::vector<std::unique_ptr<CorePort>> ports_;
     std::vector<std::unique_ptr<riscv::RvCore>> cores_;

@@ -286,7 +286,7 @@ class RvCore
     void setTracer(obs::Tracer *tracer, NodeId node, Cycles stall_cycles);
 
     /**
-     * Drives an interrupt wire (from the interrupt depacketizer).
+     * Drives an interrupt wire (from the CLINT or PLIC).
      * @param irq One of kIrqMsi / kIrqMti / kIrqMei.
      */
     void setIrqLine(std::uint32_t irq, bool level);

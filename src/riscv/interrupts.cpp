@@ -92,62 +92,6 @@ ClintController::nextTimerCycle() const
     return next;
 }
 
-void
-ClintController::setExternal(std::uint32_t hart, bool level)
-{
-    setWire(meip_, hart, kIrqMei, level);
-}
-
-void
-IrqPacketizer::onWireChange(std::uint32_t hart, std::uint32_t irq,
-                            bool level)
-{
-    auto [node, tile] = loc_(hart);
-    noc::Packet pkt = encode(node_, node, tile, hart, irq, level);
-    if (send_)
-        send_(pkt);
-}
-
-noc::Packet
-IrqPacketizer::encode(NodeId src_node, NodeId dst_node, TileId dst_tile,
-                      std::uint32_t hart, std::uint32_t irq, bool level)
-{
-    noc::Packet pkt;
-    pkt.noc = noc::NocIndex::kNoc2;
-    pkt.srcNode = src_node;
-    pkt.srcTile = noc::kOffChipTile;
-    pkt.dstNode = dst_node;
-    pkt.dstTile = dst_tile;
-    pkt.type = noc::MsgType::kInterrupt;
-    pkt.sizeLog2 = 3;
-    // Payload flit: [16:1] hart, [8 bits at 17] irq, [0] level.
-    pkt.payload.push_back((static_cast<std::uint64_t>(hart) << 1) |
-                          (static_cast<std::uint64_t>(irq) << 17) |
-                          (level ? 1 : 0));
-    return pkt;
-}
-
-IrqDepacketizer::Decoded
-IrqDepacketizer::decode(const noc::Packet &pkt)
-{
-    panicIf(pkt.type != noc::MsgType::kInterrupt,
-            "depacketizer got a non-interrupt packet");
-    panicIf(pkt.payload.empty(), "interrupt packet without payload");
-    std::uint64_t w = pkt.payload[0];
-    Decoded d;
-    d.level = (w & 1) != 0;
-    d.hart = static_cast<std::uint32_t>((w >> 1) & 0xffff);
-    d.irq = static_cast<std::uint32_t>((w >> 17) & 0xff);
-    return d;
-}
-
-void
-IrqDepacketizer::apply(const noc::Packet &pkt, RvCore &core)
-{
-    Decoded d = decode(pkt);
-    core.setIrqLine(d.irq, d.level);
-}
-
 namespace
 {
 

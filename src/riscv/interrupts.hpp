@@ -3,11 +3,12 @@
  * RISC-V interrupt delivery for SMAPPIC (paper section 3.3, Fig. 6).
  *
  * The RISC-V spec notifies cores via dedicated wires from the interrupt
- * controller. That does not scale to manycore nodes (long wires) and cannot
- * cross node boundaries at all, so SMAPPIC adds an interrupt *packetizer*
- * that watches the controller's output wires and, on a change, sends a NoC
- * packet to the owning core's tile, where a *depacketizer* sniffs the
- * traffic and (de)asserts the physical wire into the core.
+ * controller. On the FPGA, SMAPPIC's interrupt packetizer carries each
+ * wire change as a NoC packet to the owning core's tile, across nodes
+ * too. This model keeps the wire-change callback and lets
+ * platform::Prototype drive the destination core's line directly (or at
+ * the next quantum barrier, for a change raised inside another node's
+ * phase).
  *
  * The controller itself is CLINT-compatible: per-hart MSIP and MTIMECMP
  * plus a global MTIME.
@@ -19,7 +20,6 @@
 #include <functional>
 #include <vector>
 
-#include "noc/packet.hpp"
 #include "riscv/core.hpp"
 #include "sim/types.hpp"
 
@@ -53,22 +53,18 @@ class ClintController
     /** Advances MTIME (typically wired to the node clock). */
     void setTime(std::uint64_t mtime);
 
-    /** Raises/clears an external interrupt line toward @p hart. */
-    void setExternal(std::uint32_t hart, bool level);
-
     /**
      * Horizon query for idle skipping: the smallest MTIME value at which
      * any hart's timer wire can rise, i.e. min over harts of MTIMECMP
      * values strictly above the current MTIME; sim::kNoDeadline when no
-     * timer is armed. Covers *all* harts — any wire flip emits an
-     * interrupt packet (and stats), so skipping past one would be
-     * observable even for harts outside the current run.
+     * timer is armed. Covers *all* harts — any wire flip drives a core
+     * line (and stats), so skipping past one would be observable even
+     * for harts outside the current run.
      */
     std::uint64_t nextTimerCycle() const;
 
     bool msip(std::uint32_t hart) const { return msip_.at(hart); }
     bool mtip(std::uint32_t hart) const { return mtip_.at(hart); }
-    bool meip(std::uint32_t hart) const { return meip_.at(hart); }
     std::uint64_t mtime() const { return mtime_; }
     std::uint32_t harts() const
     {
@@ -88,60 +84,12 @@ class ClintController
 
     std::vector<bool> msip_;
     std::vector<bool> mtip_;
+    /** Always low (the PLIC drives machine-external lines); kept so
+     *  the checkpoint layout does not change. */
     std::vector<bool> meip_;
     std::vector<std::uint64_t> mtimecmp_;
     std::uint64_t mtime_ = 0;
     WireFn wireFn_;
-};
-
-/**
- * Interrupt packetizer: encodes a wire change into a NoC packet routed to
- * the owning core's tile (possibly across nodes).
- */
-class IrqPacketizer
-{
-  public:
-    using SendFn = std::function<void(const noc::Packet &)>;
-    /** Maps a hart id to its (node, tile). */
-    using HartLocFn =
-        std::function<std::pair<NodeId, TileId>(std::uint32_t hart)>;
-
-    IrqPacketizer(NodeId node, SendFn send, HartLocFn loc)
-        : node_(node), send_(std::move(send)), loc_(std::move(loc))
-    {
-    }
-
-    /** Hook this into ClintController::setWireFn. */
-    void onWireChange(std::uint32_t hart, std::uint32_t irq, bool level);
-
-    /** Builds the interrupt packet without sending (for tests). */
-    static noc::Packet encode(NodeId src_node, NodeId dst_node,
-                              TileId dst_tile, std::uint32_t hart,
-                              std::uint32_t irq, bool level);
-
-  private:
-    NodeId node_;
-    SendFn send_;
-    HartLocFn loc_;
-};
-
-/** Interrupt depacketizer: applies an interrupt packet to a core's wires. */
-class IrqDepacketizer
-{
-  public:
-    /** Decoded interrupt notification. */
-    struct Decoded
-    {
-        std::uint32_t hart = 0;
-        std::uint32_t irq = 0;
-        bool level = false;
-    };
-
-    /** Decodes a kInterrupt packet. @throws PanicError on other types. */
-    static Decoded decode(const noc::Packet &pkt);
-
-    /** Decodes and drives @p core's interrupt wire. */
-    static void apply(const noc::Packet &pkt, RvCore &core);
 };
 
 } // namespace smappic::riscv

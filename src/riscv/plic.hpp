@@ -6,9 +6,9 @@
  * interrupts (UARTs, SD controller, accelerators) go through a PLIC:
  * per-source priorities and pending bits, per-hart enable masks and
  * priority thresholds, and the claim/complete protocol. The PLIC's
- * hart-facing external lines feed the same interrupt packetizer as the
- * CLINT, so its notifications also scale across tiles and nodes
- * (paper section 3.3).
+ * hart-facing external lines take the same path to the cores as the
+ * CLINT's, so its notifications also reach harts on every node (paper
+ * section 3.3).
  */
 
 #pragma once
@@ -79,7 +79,7 @@ class PlicController
     /** Serializes the full controller state. */
     void saveState(snap::Writer &w) const;
     /** Restores WITHOUT firing the wire callback — the downstream
-     *  packetizer/core wires are restored from their own sections. */
+     *  core wires are restored from their own sections. */
     void restoreState(snap::Reader &r);
 
   private:

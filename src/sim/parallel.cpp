@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -140,49 +141,6 @@ ActingNodeScope::ActingNodeScope(NodeId node)
 ActingNodeScope::~ActingNodeScope()
 {
     detail::tlsActingNode = prev_;
-}
-
-void
-MailboxRouter::configure(std::uint32_t nodes)
-{
-    lanes_.assign(nodes, {});
-}
-
-void
-MailboxRouter::post(std::function<void()> fn)
-{
-    NodeId src = currentNode();
-    panicIf(src == kNoNode,
-            "MailboxRouter::post outside a node phase (serial-context "
-            "interactions should run directly)");
-    panicIf(src >= lanes_.size(), "MailboxRouter lane out of range");
-    lanes_[src].push_back(std::move(fn));
-}
-
-std::uint64_t
-MailboxRouter::drain()
-{
-    std::uint64_t ran = 0;
-    // Ascending source node, then post order: independent of worker
-    // interleaving because each lane has a single writer.
-    for (auto &lane : lanes_) {
-        for (auto &fn : lane) {
-            fn();
-            ++ran;
-        }
-        lane.clear();
-    }
-    delivered_ += ran;
-    return ran;
-}
-
-std::uint64_t
-MailboxRouter::pending() const
-{
-    std::uint64_t n = 0;
-    for (const auto &lane : lanes_)
-        n += lane.size();
-    return n;
 }
 
 ParallelExecutor::ParallelExecutor(std::uint32_t workers)

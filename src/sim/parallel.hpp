@@ -11,10 +11,6 @@
  *
  *  - ParallelExecutor runs per-node work functions on a worker pool in
  *    epochs separated by a barrier; the barrier callback runs serially.
- *  - MailboxRouter collects cross-node interactions produced inside a
- *    node phase and replays them at the next barrier in a fixed
- *    (source node, post order) order, making delivery independent of how
- *    worker threads interleave.
  *  - currentNode()/ActingNodeScope tag the running thread with the node
  *    whose state it is allowed to touch, so shared components can tell a
  *    node phase from serial (setup/barrier) context.
@@ -27,15 +23,15 @@
  *
  * Determinism contract: results are bit-identical for any worker count.
  * Confined phases touch disjoint state, so they run concurrently; every
- * serializing step (the yielded nodes' epoch remainders, mailbox drain,
- * event pump, stat-shard merge) runs in a fixed order.
+ * serializing step (the yielded nodes' epoch remainders, deferred
+ * interrupt-wire changes, event pump, stat-shard merge) runs in a fixed
+ * order.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -120,39 +116,6 @@ struct ParallelConfig
     std::uint32_t threads = 1;
     /** Epoch length in cycles; 0 picks the PCIe one-way lookahead. */
     Cycles quantum = 0;
-};
-
-/**
- * Deferred cross-node interactions, one lane per source node. A node
- * phase posts with post() (single writer: the worker acting for that
- * node); the barrier drains every lane in ascending source-node order,
- * then post order within a lane. The drain order is therefore a pure
- * function of what each node produced, never of thread interleaving.
- */
-class MailboxRouter
-{
-  public:
-    /** Sizes the lane table; call once before the first phase. */
-    void configure(std::uint32_t nodes);
-
-    /**
-     * Defers @p fn to the next barrier. Must be called from a node phase
-     * (currentNode() != kNoNode); the acting node picks the lane.
-     */
-    void post(std::function<void()> fn);
-
-    /** Runs and discards all deferred work. @return Entries executed. */
-    std::uint64_t drain();
-
-    /** Entries currently deferred. */
-    std::uint64_t pending() const;
-
-    /** Lifetime count of entries drained. */
-    std::uint64_t delivered() const { return delivered_; }
-
-  private:
-    std::vector<std::vector<std::function<void()>>> lanes_;
-    std::uint64_t delivered_ = 0;
 };
 
 /**

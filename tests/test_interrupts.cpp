@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the CLINT controller and the interrupt packetizer/depacketizer
- * (SMAPPIC section 3.3): wire-change detection, packet encoding round
- * trips, and delivery onto core interrupt lines.
+ * Tests for the CLINT controller (SMAPPIC section 3.3): wire-change
+ * detection, register readback, and delivery onto core interrupt lines.
  */
 
 #include <gtest/gtest.h>
@@ -71,57 +70,7 @@ TEST(Clint, RegisterReadback)
     EXPECT_EQ(clint.read(kClintMsipBase), 1u);
 }
 
-TEST(Clint, ExternalLines)
-{
-    ClintController clint(2);
-    clint.setExternal(0, true);
-    EXPECT_TRUE(clint.meip(0));
-    clint.setExternal(0, false);
-    EXPECT_FALSE(clint.meip(0));
-}
-
-TEST(IrqPacketizer, EncodeDecodeRoundTrip)
-{
-    noc::Packet pkt = IrqPacketizer::encode(0, 3, 7, 41, kIrqMsi, true);
-    EXPECT_EQ(pkt.type, noc::MsgType::kInterrupt);
-    EXPECT_EQ(pkt.dstNode, 3u);
-    EXPECT_EQ(pkt.dstTile, 7u);
-    auto d = IrqDepacketizer::decode(pkt);
-    EXPECT_EQ(d.hart, 41u);
-    EXPECT_EQ(d.irq, kIrqMsi);
-    EXPECT_TRUE(d.level);
-
-    // Survives flit serialization (the inter-node path).
-    noc::Packet wire = noc::deserialize(noc::serialize(pkt));
-    auto d2 = IrqDepacketizer::decode(wire);
-    EXPECT_EQ(d2.hart, 41u);
-    EXPECT_EQ(d2.irq, kIrqMsi);
-}
-
-TEST(IrqPacketizer, WireChangesBecomePackets)
-{
-    std::vector<noc::Packet> sent;
-    // Harts 0..23 across two 12-tile nodes.
-    IrqPacketizer pkz(
-        0, [&](const noc::Packet &p) { sent.push_back(p); },
-        [](std::uint32_t hart) {
-            return std::make_pair<NodeId, TileId>(hart / 12, hart % 12);
-        });
-    ClintController clint(24);
-    clint.setWireFn([&](std::uint32_t h, std::uint32_t irq, bool l) {
-        pkz.onWireChange(h, irq, l);
-    });
-
-    clint.write(kClintMsipBase + 4 * 15, 1, 4); // Hart 15: node 1, tile 3.
-    ASSERT_EQ(sent.size(), 1u);
-    EXPECT_EQ(sent[0].dstNode, 1u);
-    EXPECT_EQ(sent[0].dstTile, 3u);
-    auto d = IrqDepacketizer::decode(sent[0]);
-    EXPECT_EQ(d.hart, 15u);
-    EXPECT_TRUE(d.level);
-}
-
-TEST(IrqDepacketizer, DrivesCoreWire)
+TEST(Clint, WireChangeDrivesCoreIrqLine)
 {
     struct NullPort : MemPort
     {
@@ -157,20 +106,15 @@ TEST(IrqDepacketizer, DrivesCoreWire)
     core.setCsr(kCsrMstatus, 1ULL << 3); // MIE.
     EXPECT_FALSE(core.interruptPending());
 
-    noc::Packet pkt = IrqPacketizer::encode(0, 0, 0, 0, kIrqMsi, true);
-    IrqDepacketizer::apply(pkt, core);
+    ClintController clint(1);
+    clint.setWireFn([&](std::uint32_t, std::uint32_t irq, bool level) {
+        core.setIrqLine(irq, level);
+    });
+    clint.write(kClintMsipBase, 1, 4);
     EXPECT_TRUE(core.interruptPending());
 
-    noc::Packet clear = IrqPacketizer::encode(0, 0, 0, 0, kIrqMsi, false);
-    IrqDepacketizer::apply(clear, core);
+    clint.write(kClintMsipBase, 0, 4);
     EXPECT_FALSE(core.interruptPending());
-}
-
-TEST(IrqDepacketizer, RejectsWrongPacketType)
-{
-    noc::Packet pkt;
-    pkt.type = noc::MsgType::kReqRd;
-    EXPECT_THROW(IrqDepacketizer::decode(pkt), PanicError);
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the NoC packet encoding and the mesh geometry: flit
- * serialization round trips and the hop table CoherentSystem's timing
- * model reads.
+ * Tests for the mesh geometry: coordinates and the hop table
+ * CoherentSystem's timing model reads.
  */
 
 #include <gtest/gtest.h>
@@ -10,73 +9,12 @@
 #include <cstdlib>
 #include <vector>
 
-#include "noc/packet.hpp"
 #include "noc/topology.hpp"
 
 namespace smappic::noc
 {
 namespace
 {
-
-Packet
-makePacket(TileId src, TileId dst, std::size_t payload_flits = 0)
-{
-    Packet p;
-    p.noc = NocIndex::kNoc1;
-    p.srcNode = 0;
-    p.srcTile = src;
-    p.dstNode = 0;
-    p.dstTile = dst;
-    p.type = MsgType::kReqRd;
-    p.mshr = 7;
-    p.addr = 0xdeadbeef000ULL;
-    for (std::size_t i = 0; i < payload_flits; ++i)
-        p.payload.push_back(0x1111111100000000ULL + i);
-    return p;
-}
-
-TEST(NocPacket, SerializeRoundTrip)
-{
-    Packet p = makePacket(3, 9, 8);
-    p.type = MsgType::kDataResp;
-    p.sizeLog2 = 3;
-    auto flits = serialize(p);
-    EXPECT_EQ(flits.size(), 10u);
-    EXPECT_TRUE(flits.front().head);
-    EXPECT_TRUE(flits.back().tail);
-    Packet q = deserialize(flits);
-    EXPECT_EQ(p, q);
-}
-
-TEST(NocPacket, RoundTripAllMessageTypes)
-{
-    for (int t = 0; t <= 17; ++t) {
-        Packet p = makePacket(0, 1, static_cast<std::size_t>(t % 9));
-        p.type = static_cast<MsgType>(t);
-        p.srcNode = 3;
-        p.dstNode = 2;
-        EXPECT_EQ(deserialize(serialize(p)), p) << "type " << t;
-    }
-}
-
-TEST(NocPacket, HeaderOnlyPacketHasTwoFlits)
-{
-    Packet p = makePacket(0, 1, 0);
-    auto flits = serialize(p);
-    EXPECT_EQ(flits.size(), 2u);
-    EXPECT_TRUE(flits[1].tail);
-}
-
-TEST(NocPacket, MalformedFramingPanics)
-{
-    Packet p = makePacket(0, 1, 2);
-    auto flits = serialize(p);
-    flits.pop_back();
-    EXPECT_THROW(deserialize(flits), PanicError);
-    std::vector<std::uint64_t> words{1, 2, 3};
-    // Header says 0 payload flits but 1 extra word present.
-    EXPECT_THROW(deserializeWords(words), PanicError);
-}
 
 TEST(MeshTopology, GeometryAndHops)
 {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests of the phased parallel execution engine: the ParallelExecutor /
- * MailboxRouter primitives, quantum-boundary delivery of deferred
- * cross-node interactions, and the headline contract — a cross-node
- * ping-pong workload whose final stats, exit codes and guest memory are
+ * Tests of the phased parallel execution engine: the ParallelExecutor
+ * primitive, quantum-boundary delivery of deferred cross-node interrupt
+ * wire changes, and the headline contract — a cross-node ping-pong
+ * workload whose final stats, exit codes and guest memory are
  * bit-identical for any worker count.
  */
 
@@ -124,38 +124,6 @@ TEST(ParallelExecutor, ManyEpochsStress)
         for (std::uint32_t g = 0; g < kGroups; ++g)
             EXPECT_EQ(slots[g], kEpochs + g) << workers << " workers";
     }
-}
-
-TEST(ParallelMailboxRouter, DrainsInSourceThenPostOrder)
-{
-    sim::MailboxRouter router;
-    router.configure(3);
-    std::vector<int> order;
-    {
-        sim::ActingNodeScope acting(2);
-        router.post([&] { order.push_back(20); });
-    }
-    {
-        sim::ActingNodeScope acting(0);
-        router.post([&] { order.push_back(0); });
-        router.post([&] { order.push_back(1); });
-    }
-    {
-        sim::ActingNodeScope acting(1);
-        router.post([&] { order.push_back(10); });
-    }
-    EXPECT_EQ(router.pending(), 4u);
-    EXPECT_EQ(router.drain(), 4u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 20}));
-    EXPECT_EQ(router.pending(), 0u);
-    EXPECT_EQ(router.delivered(), 4u);
-}
-
-TEST(ParallelMailboxRouter, PostOutsideNodePhasePanics)
-{
-    sim::MailboxRouter router;
-    router.configure(2);
-    EXPECT_THROW(router.post([] {}), PanicError);
 }
 
 TEST(ParallelStats, ShardsRedirectAndMergeDeterministically)
@@ -317,6 +285,91 @@ TEST(ParallelPlatform, PingPongBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(got.dump, ref.dump)
             << "stat dump diverged at " << threads << " threads";
     }
+}
+
+/**
+ * Harts 0 (node 0) and 2 (node 1) ring each other's MSIP in the same
+ * epoch, with interrupts disabled, then read their own mip at once.
+ * Both CLINT stores yield, so both run in the barrier's remainders:
+ * node 0's, then node 1's. Each hart exits with its first MSIP reading
+ * plus 1. Harts 1 and 3 exit at once. The quantum is long enough that
+ * each hart's store and first read fall in the first epoch.
+ */
+constexpr const char *kCrossRingSource = R"(
+_start:
+    csrr t0, 0xf14       # mhartid
+    li t1, 2
+    beq t0, zero, ring2
+    beq t0, t1, ring0
+    li a0, 0
+    li a7, 93
+    ecall
+ring2:
+    li t1, 0x02000008    # CLINT MSIP of hart 2
+    j ring
+ring0:
+    li t1, 0x02000000    # CLINT MSIP of hart 0
+ring:
+    li t2, 1
+    sw t2, 0(t1)
+    csrr a0, 0x344       # mip
+    andi a0, a0, 8
+wait:
+    csrr t3, 0x344
+    andi t3, t3, 8
+    beqz t3, wait
+    addi a0, a0, 1
+    li a7, 93
+    ecall
+)";
+
+TEST(ParallelPlatform, CrossNodeIrqsApplyAfterEveryRemainder)
+{
+    auto run = [](std::uint32_t threads, std::vector<std::int64_t> &exits) {
+        PrototypeConfig cfg = PrototypeConfig::parse("2x1x2");
+        cfg.parallel.threads = threads;
+        cfg.parallel.quantum = 100'000;
+        Prototype proto(cfg);
+        proto.loadSourceReplicated(kCrossRingSource);
+        proto.runCores({0, 1, 2, 3}, 500'000);
+        exits.clear();
+        for (GlobalTileId g = 0; g < 4; ++g) {
+            EXPECT_TRUE(proto.core(g).exited()) << "hart " << g;
+            exits.push_back(proto.core(g).exitCode());
+        }
+        EXPECT_EQ(proto.stats().counterValue("platform.irqDeferred"), 2u);
+        EXPECT_EQ(proto.stats().counterValue("platform.irqPackets"), 2u);
+        std::ostringstream os;
+        proto.stats().dump(os);
+        return os.str();
+    };
+    // Hart 2 rings hart 0 in node 1's remainder, after node 0's
+    // remainder raised hart 2's MSIP; it still reads its MSIP low (exit
+    // 1, not 9), since that change waits for the end of the barrier.
+    std::vector<std::int64_t> ref_exits;
+    std::string ref = run(1, ref_exits);
+    EXPECT_EQ(ref_exits, (std::vector<std::int64_t>{1, 0, 1, 0}));
+    for (std::uint32_t threads : {2u, 4u}) {
+        std::vector<std::int64_t> exits;
+        EXPECT_EQ(run(threads, exits), ref) << threads << " threads";
+        EXPECT_EQ(exits, ref_exits) << threads << " threads";
+    }
+}
+
+TEST(ParallelPlatform, IrqDeferralInsideConfinedPhasePanics)
+{
+    // A confined phase yields before any CLINT access, so a deferral
+    // there means a shared device ran inside the phase.
+    Prototype proto(PrototypeConfig::parse("2x1x2"));
+    sim::ActingNodeScope acting(0);
+    sim::ConfinedScope confined;
+    // Hart 1 shares node 0: its wire changes at once.
+    proto.clint().write(riscv::kClintMsipBase + 4 * 1, 1, 4);
+    EXPECT_EQ(proto.stats().counterValue("platform.irqPackets"), 1u);
+    // Hart 2 sits on node 1.
+    EXPECT_THROW(proto.clint().write(riscv::kClintMsipBase + 4 * 2, 1, 4),
+                 PanicError);
+    EXPECT_EQ(proto.stats().counterValue("platform.irqDeferred"), 0u);
 }
 
 /** Every hart on both nodes bumps one counter with amoadd; code and

@@ -2,7 +2,7 @@
  * @file
  * Integration tests for the Prototype: AxBxC parsing, program execution on
  * cores against the coherent memory system, console I/O through the
- * tunnelled UART, CLINT interrupt delivery via packetizer, virtual SD
+ * tunnelled UART, CLINT interrupt delivery to the cores, virtual SD
  * card, the Fig-7 latency probe, and the fault-plan sites a prototype
  * accepts.
  */
@@ -32,6 +32,11 @@ TEST(PrototypeConfig, ParseAndName)
     EXPECT_THROW(PrototypeConfig::parse("8x1x2"), FatalError);  // >4 FPGAs.
     EXPECT_THROW(PrototypeConfig::parse("1x8x2"), FatalError);  // >4 nodes.
     EXPECT_THROW(PrototypeConfig::parse("0x1x2"), FatalError);
+    // Above 32 bits: the first two would wrap to a valid 1x1x2, and the
+    // last does not fit 64 bits either.
+    for (const char *spec :
+         {"1x1x4294967298", "4294967297x1x2", "1x1x99999999999999999999"})
+        EXPECT_THROW(PrototypeConfig::parse(spec), FatalError) << spec;
 }
 
 TEST(Prototype, RejectsFaultRulesThatReachNoHook)
@@ -200,7 +205,7 @@ handler:
 TEST(Prototype, SoftwareInterruptAcrossCores)
 {
     // Core 0 rings core 1's MSIP doorbell through the CLINT; core 1 sits
-    // in wfi until the interrupt packet arrives.
+    // in wfi until its MSIP line rises.
     Prototype proto(PrototypeConfig::parse("1x1x2"));
     auto prog = proto.loadSource(R"(
 _start:
@@ -327,8 +332,8 @@ TEST(Prototype, Fig7LatencyShape)
 
 TEST(Prototype, MultiNodeInterruptCrossesNodes)
 {
-    // Hart 3 lives on node 1 in a 2x1x2 config; raising its MSIP sends an
-    // interrupt packet across the node boundary.
+    // Hart 3 lives on node 1 in a 2x1x2 config; raising its MSIP from
+    // serial context drives that core's line at once.
     Prototype proto(PrototypeConfig::parse("2x1x2"));
     proto.clint().write(riscv::kClintMsipBase + 4 * 3, 1, 4);
     EXPECT_TRUE(

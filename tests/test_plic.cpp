@@ -1,15 +1,13 @@
 /**
  * @file
  * Tests for the PLIC: priorities, thresholds, enables, claim/complete,
- * level-triggered gateways, and integration with the interrupt
- * packetizer path.
+ * level-triggered gateways, and the hart-facing wire callback.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "riscv/interrupts.hpp"
 #include "riscv/plic.hpp"
 #include "sim/log.hpp"
 
@@ -106,30 +104,20 @@ TEST(Plic, ClaimViaMmioReadAndPendingBits)
     EXPECT_EQ(plic.read(kPlicPendingBase), 0x0u);
 }
 
-TEST(Plic, FeedsTheInterruptPacketizer)
+TEST(Plic, WireCallbackNamesTheTargetHart)
 {
-    // PLIC wire changes ride the same NoC-packet path as the CLINT's
-    // (section 3.3): external interrupts scale across tiles and nodes.
-    std::vector<noc::Packet> sent;
-    IrqPacketizer pkz(
-        0, [&](const noc::Packet &p) { sent.push_back(p); },
-        [](std::uint32_t hart) {
-            return std::make_pair<NodeId, TileId>(hart / 4, hart % 4);
-        });
+    // The prototype hands this callback's (hart, level) to the core's
+    // machine-external line, on whichever node the hart sits
+    // (section 3.3).
+    std::vector<std::pair<std::uint32_t, bool>> edges;
     PlicController plic(2, 8);
-    plic.setWireFn([&](std::uint32_t h, bool l) {
-        pkz.onWireChange(h, kIrqMei, l);
-    });
+    plic.setWireFn([&](std::uint32_t h, bool l) { edges.emplace_back(h, l); });
     plic.write(kPlicPriorityBase + 4, 1);
     plic.write(kPlicEnableBase + 6 * kPlicEnableStride, 0x2); // Hart 6.
     plic.setSourceLevel(1, true);
 
-    ASSERT_EQ(sent.size(), 1u);
-    EXPECT_EQ(sent[0].dstNode, 1u);
-    EXPECT_EQ(sent[0].dstTile, 2u);
-    auto d = IrqDepacketizer::decode(sent[0]);
-    EXPECT_EQ(d.irq, kIrqMei);
-    EXPECT_TRUE(d.level);
+    ASSERT_EQ(edges.size(), 1u);
+    EXPECT_EQ(edges[0], std::make_pair(6u, true));
 }
 
 TEST(Plic, RejectsBadGeometry)
