@@ -4,11 +4,15 @@
  * Gaussian Noise Generator to tile 1 of a 1x1x2 prototype, drives it from
  * a guest RISC-V program with non-cacheable loads, verifies the samples'
  * statistics, and compares fetch-packing modes from the guest-OS layer —
- * the paper's "one workday" accelerator-evaluation loop.
+ * the paper's "one workday" accelerator-evaluation loop. Exits nonzero
+ * unless the guest exits cleanly with all 512 samples fetched, their mean
+ * and sigma are within 0.1 of 0 and 1, and each packing mode beats the
+ * one before it.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "platform/prototype.hpp"
 #include "workload/noise.hpp"
@@ -43,6 +47,16 @@ loop:
     ecall
 )");
     proto.runCore(0);
+    bool ok = true;
+    auto check = [&ok](bool cond, const std::string &what) {
+        if (!cond) {
+            std::printf("FAIL: %s\n", what.c_str());
+            ok = false;
+        }
+    };
+    check(proto.core(0).exited() && proto.core(0).exitCode() == 0,
+          "guest core exited with code 0");
+    check(gng.samplesServed() == 512, "guest fetched 512 samples");
     std::printf("guest fetched %llu samples in %llu cycles\n",
                 static_cast<unsigned long long>(gng.samplesServed()),
                 static_cast<unsigned long long>(proto.core(0).cycles()));
@@ -63,10 +77,13 @@ loop:
     double sigma = std::sqrt(sumsq / n - mean * mean);
     std::printf("sample statistics: mean %.3f, sigma %.3f "
                 "(expect ~0, ~1)\n", mean, sigma);
+    check(std::fabs(mean) < 0.1, "|mean| < 0.1");
+    check(std::fabs(sigma - 1.0) < 0.1, "|sigma - 1| < 0.1");
 
     // Packing-mode comparison at the guest-OS level (Fig 10's sweep).
     std::printf("\nfetch-packing sweep (%u samples):\n", 1u << 14);
     Cycles sw_cycles = 0;
+    Cycles prev_cycles = 0;
     for (GngMode m : {GngMode::kSoftware, GngMode::kFetch1,
                       GngMode::kFetch2, GngMode::kFetch4}) {
         platform::Prototype p(platform::PrototypeConfig::parse("1x1x2"));
@@ -82,6 +99,11 @@ loop:
                     static_cast<unsigned long long>(c),
                     static_cast<double>(sw_cycles) /
                         static_cast<double>(c));
+        if (m != GngMode::kSoftware)
+            check(c < prev_cycles, std::string("mode ") + gngModeName(m) +
+                                       " faster than the mode before it");
+        prev_cycles = c;
     }
-    return 0;
+    std::printf("%s\n", ok ? "PASS" : "FAIL");
+    return ok ? 0 : 1;
 }

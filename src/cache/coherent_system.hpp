@@ -325,10 +325,11 @@ class CoherentSystem
 
     /**
      * Decode-cache fast path for instruction fetches: when @p addr hits
-     * @p gid's L1I, replays exactly the side effects the full access()
-     * walk would have on that hit — the L1I LRU touch and the
-     * "cs.l1.hits" increment — and returns true with @p lat set to the
-     * L1 hit latency. Returns false (having mutated nothing; a missing
+     * @p gid's L1I, replays the L1I LRU touch the full access() walk
+     * would make on that hit and returns true with @p lat set to the L1
+     * hit latency. The caller counts the hit and hands its batched
+     * counts to addFastHits(), which makes the slow hit's "cs.l1.hits"
+     * increment. Returns false (having mutated nothing; a missing
      * lookup() leaves the LRU untouched) when the fetch must take the
      * full walk: L1I miss, or any test mutation armed (the stale-data
      * plumbing lives on the slow path). An L1I hit implies the line is
@@ -347,18 +348,17 @@ class CoherentSystem
         // — and mutates nothing on a miss.
         if (!l1i_[gid].lookup(addr))
             return false;
-        stats_->counter(kL1Hits).increment();
         lat = timing_.l1HitLatency;
         return true;
     }
 
     /**
      * Data fast path for scalar loads: when @p addr hits @p gid's L1D,
-     * replays exactly the side effects the full access() walk would
-     * have on that hit — the L1D LRU touch and the "cs.l1.hits"
-     * increment — and returns true with @p lat set to the L1 hit
-     * latency. Returns false (having mutated nothing) when the load
-     * must take the full walk: L1D miss, any test mutation armed (the
+     * replays the L1D LRU touch the full access() walk would make on
+     * that hit and returns true with @p lat set to the L1 hit latency;
+     * the caller counts the hit for addFastHits(), as for fetches.
+     * Returns false (having mutated nothing) when the load must take
+     * the full walk: L1D miss, any test mutation armed (the
      * stale-data plumbing lives on the slow path), or a coherence
      * observer attached (observers contract to see every full
      * transition). An L1D hit implies the line is neither a device
@@ -378,21 +378,20 @@ class CoherentSystem
             return false;
         if (!l1d_[gid].lookup(addr))
             return false;
-        stats_->counter(kL1Hits).increment();
         lat = timing_.l1HitLatency;
         return true;
     }
 
     /**
      * Data fast path for scalar stores: when @p gid's BPC already owns
-     * @p addr's line in M, replays exactly the side effects the full
-     * access() walk would have on that store hit — the BPC (and, when
-     * resident, L1D) LRU touches and the "cs.l1.storeHits" increment —
-     * and returns true with @p lat set to the L1 hit latency. Returns
-     * false (having mutated nothing) on any other line state, an armed
-     * test mutation, or an attached observer; the caller then runs the
-     * full access(). M ownership implies exclusivity, so no recall,
-     * directory or tracer activity is skipped.
+     * @p addr's line in M, replays the BPC (and, when resident, L1D) LRU
+     * touches the full access() walk would make on that store hit and
+     * returns true with @p lat set to the L1 hit latency; the caller
+     * counts the store hit for addFastHits(). Returns false (having
+     * mutated nothing) on any other line state, an armed test mutation,
+     * or an attached observer; the caller then runs the full access().
+     * M ownership implies exclusivity, so no recall, directory or
+     * tracer activity is skipped.
      */
     bool
     storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
@@ -407,9 +406,23 @@ class CoherentSystem
         if (!bpc_[gid].lookupIfState(line, kModified))
             return false;
         l1d_[gid].lookup(line);
-        stats_->counter(kL1StoreHits).increment();
         lat = timing_.l1HitLatency;
         return true;
+    }
+
+    /**
+     * The fast paths' counter side effects, batched: adds @p hits
+     * fetch and load fast hits to "cs.l1.hits" and @p store_hits to
+     * "cs.l1.storeHits", through the slow path's StatIds. A zero count
+     * touches nothing, so a stat no hit reached stays out of the dump.
+     */
+    void
+    addFastHits(std::uint64_t hits, std::uint64_t store_hits)
+    {
+        if (hits)
+            stats_->counter(kL1Hits).increment(hits);
+        if (store_hits)
+            stats_->counter(kL1StoreHits).increment(store_hits);
     }
 
     /** Functional backing store (data plane). */
@@ -530,7 +543,7 @@ class CoherentSystem
     static constexpr std::uint32_t kShared = kLineShared;
     static constexpr std::uint32_t kModified = kLineModified;
 
-    // The hit counters the inline fast paths bump (the rest are local to
+    // The hit counters addFastHits() bumps (the rest are local to
     // coherent_system.cpp).
     static const sim::StatId kL1Hits;
     static const sim::StatId kL1StoreHits;

@@ -269,7 +269,10 @@ class Prototype::CorePort : public riscv::MemPort
     fetchFastHit(Addr addr, Cycles now, Cycles &lat) override
     {
         (void)now;
-        return proto_.cs_->fetchFastHit(gid_, addr, lat);
+        if (!proto_.cs_->fetchFastHit(gid_, addr, lat))
+            return false;
+        ++fastHits_;
+        return true;
     }
 
     riscv::CodeRef
@@ -288,9 +291,15 @@ class Prototype::CorePort : public riscv::MemPort
         // An L1D hit can carry no stale-copy plumbing (loadFastHit
         // bails on any armed mutation), so data always comes from the
         // functional store, as on the slow path's non-stale branch.
+        // Fast hits are naturally aligned, so they never cross a page.
         if (!proto_.cs_->loadFastHit(gid_, addr, lat))
             return false;
-        value = proto_.cs_->memory().load(addr, std::min(bytes, 8u));
+        ++fastHits_;
+        if (mem::MainMemory::PageEntry *page = dataPage(addr))
+            value = mem::MainMemory::loadFrom(
+                *page, addr % mem::MainMemory::kPageBytes, bytes);
+        else
+            value = proto_.cs_->memory().load(addr, bytes);
         return true;
     }
 
@@ -306,8 +315,21 @@ class Prototype::CorePort : public riscv::MemPort
         // observable counterpart here.
         if (!proto_.cs_->storeFastHit(gid_, addr, lat))
             return false;
-        proto_.cs_->memory().store(addr, std::min(bytes, 8u), value);
+        ++fastStoreHits_;
+        if (mem::MainMemory::PageEntry *page = dataPage(addr))
+            proto_.cs_->memory().storeTo(
+                *page, addr % mem::MainMemory::kPageBytes, bytes, value);
+        else
+            proto_.cs_->memory().store(addr, bytes, value);
         return true;
+    }
+
+    void
+    flushFastHits() override
+    {
+        proto_.cs_->addFastHits(fastHits_, fastStoreHits_);
+        fastHits_ = 0;
+        fastStoreHits_ = 0;
     }
 
     std::uint64_t
@@ -324,8 +346,35 @@ class Prototype::CorePort : public riscv::MemPort
     }
 
   private:
+    /**
+     * @p addr's page through the one-entry handle, refreshed from
+     * MainMemory::directPage() when the page or the memory's generation
+     * changed; null when directPage() has none (concurrent memory, or a
+     * page not yet written), and the caller then takes load()/store().
+     */
+    mem::MainMemory::PageEntry *
+    dataPage(Addr addr)
+    {
+        mem::MainMemory &memory = proto_.cs_->memory();
+        std::uint64_t idx = addr / mem::MainMemory::kPageBytes;
+        if (page_ == nullptr || idx != pageIdx_ ||
+            pageGen_ != memory.generation()) {
+            page_ = memory.directPage(addr);
+            pageIdx_ = idx;
+            pageGen_ = memory.generation();
+        }
+        return page_;
+    }
+
     Prototype &proto_;
     GlobalTileId gid_;
+    // Fast hits since the last flushFastHits() (cs.l1.hits and
+    // cs.l1.storeHits).
+    std::uint64_t fastHits_ = 0;
+    std::uint64_t fastStoreHits_ = 0;
+    mem::MainMemory::PageEntry *page_ = nullptr;
+    std::uint64_t pageIdx_ = 0;
+    std::uint64_t pageGen_ = 0;
 };
 
 Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)

@@ -92,12 +92,6 @@ RvCore::setTracer(obs::Tracer *tracer, NodeId node, Cycles stall_cycles)
     traceStallCycles_ = stall_cycles;
 }
 
-bool
-RvCore::translationActive() const
-{
-    return (satp_ >> 60) == 8 && priv_ != 3;
-}
-
 void
 RvCore::flushDecodeCache()
 {
@@ -163,9 +157,6 @@ RvCore::tlbFlush()
 RvCore::TranslateResult
 RvCore::translate(Addr vaddr, MemAccess access, Cycles &lat)
 {
-    if (!translationActive())
-        return TranslateResult{vaddr, false, 0};
-
     auto &tlb = access == MemAccess::kFetch ? itlb_ : dtlb_;
     if (TlbEntry *e = tlbLookup(tlb, vaddr)) {
         bool perm_ok = true;
@@ -414,12 +405,39 @@ RvCore::setCsr(std::uint16_t num, std::uint64_t value)
     writeCsr(num, value);
 }
 
+void
+RvCore::flushRunStats(std::uint64_t instret_at_start)
+{
+    if (stats_) {
+        if (instret_ != instret_at_start)
+            stats_->counter(kInstret).increment(instret_ - instret_at_start);
+        if (runBranches_)
+            stats_->counter(kBranches).increment(runBranches_);
+        if (runMispredicts_)
+            stats_->counter(kMispredicts).increment(runMispredicts_);
+    }
+    runBranches_ = 0;
+    runMispredicts_ = 0;
+    port_.flushFastHits();
+}
+
 HaltReason
 RvCore::run(std::uint64_t max_instructions)
 {
+    if (max_instructions == 0)
+        return HaltReason::kInstrBudget;
+    if (exited_)
+        return HaltReason::kExited;
+    // step() counts into plain members. Every exit adds them to the
+    // stats, an unwinding one (sim::NodeYield, a panic) included, while
+    // the caller's StatRegistry::Redirect is still bound.
+    struct Flush
+    {
+        RvCore &core;
+        std::uint64_t instret;
+        ~Flush() { core.flushRunStats(instret); }
+    } flush{*this, instret_};
     for (std::uint64_t i = 0; i < max_instructions; ++i) {
-        if (exited_)
-            return HaltReason::kExited;
         step();
         if (exited_)
             return HaltReason::kExited;
@@ -431,13 +449,11 @@ RvCore::run(std::uint64_t max_instructions)
     return HaltReason::kInstrBudget;
 }
 
-Cycles
+void
 RvCore::step()
 {
-    if (exited_)
-        return 0;
     lastStall_ = Stall::kNone;
-    if (maybeTakeInterrupt()) {
+    if ((mip_ & mie_) != 0 && maybeTakeInterrupt()) {
         cycles_ += cfg_.mispredictPenalty; // Redirect cost.
         if (commit_) {
             CommitRecord rec;
@@ -445,9 +461,13 @@ RvCore::step()
             rec.interrupt = true;
             commit_(*this, rec);
         }
-        return cfg_.mispredictPenalty;
+        return;
     }
 
+    // Nothing below changes satp or the privilege before the last
+    // translation, so the gate is read once.
+    const bool xlat = translationActive();
+    const bool fast_data = cfg_.dataFastPath && !xlat;
     Cycles total = cfg_.baseCycles; // Pipeline base CPI.
     Addr pc = pc_;
 
@@ -467,53 +487,59 @@ RvCore::step()
         takeTrap(kCauseMisalignedFetch, pc);
         cycles_ += total;
         commitFetchTrap();
-        return total;
+        return;
     }
 
     // Fetch (with translation).
-    Cycles xlat_lat = 0;
-    TranslateResult tr = translate(pc, MemAccess::kFetch, xlat_lat);
-    total += xlat_lat;
-    if (tr.fault) {
-        takeTrap(tr.cause, pc);
-        cycles_ += total;
-        commitFetchTrap();
-        return total;
+    Addr fetch_pa = pc;
+    if (xlat) {
+        Cycles xlat_lat = 0;
+        TranslateResult tr = translate(pc, MemAccess::kFetch, xlat_lat);
+        total += xlat_lat;
+        if (tr.fault) {
+            takeTrap(tr.cause, pc);
+            cycles_ += total;
+            commitFetchTrap();
+            return;
+        }
+        fetch_pa = tr.paddr;
     }
     std::uint32_t word = 0;
-    DecodedInst d;
-    bool decoded = false;
+    // The instruction executes by reference: the decode-cache entry on a
+    // hit (fills and flushes never rewrite a served entry), else this
+    // local decode.
+    const DecodedInst *inst = nullptr;
+    DecodedInst local;
     // Decode-cache fast path. Only untranslated fetches qualify: a
     // translated fetch's iTLB lookup mutates checkpointed replacement
     // state, which the fast path must not skip. The L1I-hit gate
     // (fetchFastHit) replicates the hit path's timing and side effects
     // exactly and inherits coherence invalidations; the entry's write
     // stamp catches same-hart stores, DMA and loader writes.
-    if (decodeCache_.enabled() && !translationActive()) {
+    if (decodeCache_.enabled() && !xlat) {
         if (const DecodeCache::Entry *e = decodeCache_.find(pc)) {
             Cycles hit_lat = 0;
-            if (port_.fetchFastHit(tr.paddr, cycles_, hit_lat)) {
+            if (port_.fetchFastHit(fetch_pa, cycles_, hit_lat)) {
                 if (hit_lat > 1)
                     total += hit_lat - 1;
                 word = e->word;
-                d = e->inst;
-                decoded = true;
+                inst = &e->inst;
                 decodeCache_.countHit();
             } else {
                 decodeCache_.countBypass();
             }
         }
-        if (!decoded) {
+        if (!inst) {
             // The stamp is sampled before the fetch so a write racing
             // the fill can only make the entry conservatively stale.
-            CodeRef ref = port_.codeRef(tr.paddr);
+            CodeRef ref = port_.codeRef(fetch_pa);
             Cycles fetch_lat = 0;
-            word = port_.fetch(tr.paddr, cycles_, fetch_lat);
+            word = port_.fetch(fetch_pa, cycles_, fetch_lat);
             if (fetch_lat > 1)
                 total += fetch_lat - 1;
-            d = decode(word);
-            decoded = true;
-            decodeCache_.fill(pc, word, d, ref);
+            local = decode(word);
+            inst = &local;
+            decodeCache_.fill(pc, word, local, ref);
             if (tracerDecode_) {
                 obs::TraceEvent ev =
                     obs::event(obs::EventKind::kDecodeFill);
@@ -525,13 +551,15 @@ RvCore::step()
             }
         }
     }
-    if (!decoded) {
+    if (!inst) {
         Cycles fetch_lat = 0;
-        word = port_.fetch(tr.paddr, cycles_, fetch_lat);
+        word = port_.fetch(fetch_pa, cycles_, fetch_lat);
         if (fetch_lat > 1)
             total += fetch_lat - 1; // L1I hit is covered by the base cycle.
-        d = decode(word);
+        local = decode(word);
+        inst = &local;
     }
+    const DecodedInst &d = *inst;
     lastWord_ = word;
 
     if (trace_)
@@ -550,6 +578,8 @@ RvCore::step()
     // Data access helper: translate + access, with fault handling.
     bool trapped = false;
     auto dataAddr = [&](MemAccess acc, Addr vaddr) -> Addr {
+        if (!xlat)
+            return vaddr;
         Cycles lat = 0;
         TranslateResult r = translate(vaddr, acc, lat);
         total += lat;
@@ -594,12 +624,10 @@ RvCore::step()
           bool predicted = predictTaken(pc);
           if (predicted != taken) {
               total += cfg_.mispredictPenalty;
-              if (stats_)
-                  stats_->counter(kMispredicts).increment();
+              ++runMispredicts_;
           }
           trainBht(pc, taken);
-          if (stats_)
-              stats_->counter(kBranches).increment();
+          ++runBranches_;
           if (taken)
               next_pc = pc + static_cast<std::uint64_t>(d.imm);
           break;
@@ -626,8 +654,7 @@ RvCore::step()
           // stay slow, like the decode fast path.
           Cycles lat = 0;
           std::uint64_t v = 0;
-          if (!(cfg_.dataFastPath && !translationActive() &&
-                (pa & (bytes - 1)) == 0 &&
+          if (!(fast_data && (pa & (bytes - 1)) == 0 &&
                 port_.loadFastHit(pa, bytes, cycles_, lat, v)))
               v = port_.load(pa, bytes, cycles_, lat);
           total += lat;
@@ -665,8 +692,7 @@ RvCore::step()
           // performed the full store (timing, stats and data); false
           // changed nothing, not even backing memory.
           Cycles lat = 0;
-          if (!(cfg_.dataFastPath && !translationActive() &&
-                (pa & (bytes - 1)) == 0 &&
+          if (!(fast_data && (pa & (bytes - 1)) == 0 &&
                 port_.storeFastHit(pa, bytes, rs2(), cycles_, lat)))
               port_.store(pa, bytes, rs2(), cycles_, lat);
           total += lat;
@@ -850,7 +876,7 @@ RvCore::step()
         // Leave pc at the ebreak; run() reports it to the caller.
         lastStall_ = Stall::kEbreak;
         cycles_ += total;
-        return total;
+        return;
       case Op::kCsrrw: case Op::kCsrrs: case Op::kCsrrc:
       case Op::kCsrrwi: case Op::kCsrrsi: case Op::kCsrrci: {
           std::uint64_t old = readCsr(d.csr);
@@ -892,7 +918,7 @@ RvCore::step()
             // Stall: report the wait to run() without retiring.
             lastStall_ = Stall::kWfi;
             cycles_ += total;
-            return total;
+            return;
         }
         break;
       case Op::kLrW: case Op::kLrD: {
@@ -981,8 +1007,6 @@ RvCore::step()
         pc_ = next_pc;
     ++instret_;
     cycles_ += total;
-    if (stats_)
-        stats_->counter(kInstret).increment();
     if (tracer_) {
         obs::TraceEvent ev = obs::event(obs::EventKind::kCoreCommit);
         ev.cycle = cycles_ - total;
@@ -1005,7 +1029,6 @@ RvCore::step()
         rec.envAbsorbed = env_absorbed;
         commit_(*this, rec);
     }
-    return total;
 }
 
 void

@@ -71,11 +71,12 @@ class MemPort
 
     /**
      * Decode-cache fast path: when the fetch of @p addr would hit the
-     * L1I, performs the hit path's side effects (LRU touch, hit counter)
-     * and returns true with @p lat set to the hit latency; otherwise
-     * returns false having changed nothing, and the caller must issue
-     * the full fetch(). The default (ports without a timing hierarchy)
-     * never takes the fast path.
+     * L1I, performs the hit path's side effects (LRU touch, hit counter;
+     * this and the data fast paths may batch their counters until
+     * flushFastHits()) and returns true with @p lat set to the hit
+     * latency; otherwise returns false having changed nothing, and the
+     * caller must issue the full fetch(). The default (ports without a
+     * timing hierarchy) never takes the fast path.
      */
     virtual bool
     fetchFastHit(Addr addr, Cycles now, Cycles &lat)
@@ -141,6 +142,15 @@ class MemPort
         (void)lat;
         return false;
     }
+
+    /**
+     * Hands the hit counts the fast paths above batched to the stats.
+     * RvCore::run() calls it at every exit, an unwinding one included,
+     * so the counts land where per-hit increments would have: in the
+     * registry (or node shard) active around the run. The default has
+     * nothing to hand over.
+     */
+    virtual void flushFastHits() {}
 };
 
 /** Static configuration of one core (Table 2 defaults). */
@@ -229,11 +239,13 @@ class RvCore
     RvCore(const CoreConfig &cfg, MemPort &port,
            sim::StatRegistry *stats = nullptr);
 
-    /** Executes instructions until a halt condition. */
+    /**
+     * Executes instructions until a halt condition. The run's
+     * core.instret, core.branches and core.mispredicts counts (and the
+     * port's fast-hit counts, MemPort::flushFastHits) reach the stats
+     * when it returns or unwinds, not per instruction.
+     */
     HaltReason run(std::uint64_t max_instructions);
-
-    /** Executes one instruction; returns the cycles it consumed. */
-    Cycles step();
 
     // Architectural state access.
     std::uint64_t reg(unsigned idx) const { return regs_[idx]; }
@@ -327,9 +339,21 @@ class RvCore
         std::uint64_t cause = 0;
     };
 
-    bool translationActive() const;
+    /** Executes one instruction. Only run() calls it: the counters it
+     *  batches are flushed by run()'s exits. */
+    void step();
+    /** Adds the counts step() batched since the last flush to the stats
+     *  and flushes the port's fast-hit counts. */
+    void flushRunStats(std::uint64_t instret_at_start);
+
+    bool
+    translationActive() const
+    {
+        return (satp_ >> 60) == 8 && priv_ != 3;
+    }
     /** Flushes the decode cache, emitting the kDecodeFlush trace event. */
     void flushDecodeCache();
+    /** Translates @p vaddr; only called while translationActive(). */
     TranslateResult translate(Addr vaddr, MemAccess access, Cycles &lat);
     TlbEntry *tlbLookup(std::vector<TlbEntry> &tlb, Addr vaddr);
     void tlbFill(std::vector<TlbEntry> &tlb, std::uint64_t vpn,
@@ -380,6 +404,11 @@ class RvCore
     std::vector<TlbEntry> itlb_;
     std::vector<TlbEntry> dtlb_;
     std::uint64_t tlbClock_ = 0;
+
+    // Branch counts of the current run(), added to core.branches and
+    // core.mispredicts when it exits (core.instret is instret_'s advance).
+    std::uint64_t runBranches_ = 0;
+    std::uint64_t runMispredicts_ = 0;
 
     /** Why the last step() made no forward progress. */
     enum class Stall : std::uint8_t

@@ -8,7 +8,9 @@
  * bail-heavy regimes where the audit looked for double side effects:
  * shared-line bounces (the fast path attempts and bails mid-run),
  * armed test mutations and attached coherence observers (the fast path
- * must not engage at all).
+ * must not engage at all). Also pins the per-run batching of the core's
+ * and the port's counters across mid-chunk yields, and the port's page
+ * handle across loader, DMA and restore() writes.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "cache/coherent_system.hpp"
 #include "obs/trace_io.hpp"
 #include "platform/prototype.hpp"
+#include "sim/log.hpp"
 #include "snap/snapshot.hpp"
 
 namespace smappic
@@ -331,11 +334,149 @@ TEST(L1dFastPathUnit, FailedAttemptLeavesNoTrace)
     auto slow_st =
         b.access(0, 0x8000'0000, cache::AccessType::kStore, 8, 300);
     EXPECT_EQ(fast_lat, slow_st.latency);
+    // The fast hits count through the caller, as a core's port does at
+    // the end of each run().
+    a.addFastHits(1, 1);
     std::ostringstream da2;
     std::ostringstream db2;
     stats_a.dump(da2);
     stats_b.dump(db2);
     EXPECT_EQ(da2.str(), db2.str());
+}
+
+// ------------------------------------------- per-run counter batching
+
+/** Private-line fast hits with a CLINT load every eighth iteration: on
+ *  a 2x1x2 prototype every node phase is confined, so each CLINT load
+ *  yields in the middle of a 100-instruction chunk, after fast hits the
+ *  core and its port have batched but not yet flushed. */
+constexpr const char *kYieldMixSource = R"(
+_start:
+    csrr t0, 0xf14
+    andi t0, t0, 1
+    slli t0, t0, 7       # 128-byte private stride per hart
+    la t6, buf
+    add t6, t6, t0
+    li t5, 0x0200bff8    # CLINT mtime
+    li t2, 0
+loop:
+    ld t3, 0(t6)
+    addi t3, t3, 1
+    sd t3, 0(t6)
+    lw t4, 8(t6)
+    addi t2, t2, 1
+    andi t1, t2, 7
+    bnez t1, loop
+    ld a1, 0(t5)         # device access: a confined phase yields here
+    j loop
+
+.data
+.align 7
+buf:    .dword 1
+        .dword 2
+.align 7
+        .dword 3
+        .dword 4
+)";
+
+TEST(L1dFastPathBatching, MidChunkYieldsFlushTheRunsCounts)
+{
+    // The counts step() and the port batch reach the node's shard when
+    // run() unwinds at the yield; the re-run at the barrier counts its
+    // own. Fast paths off, nothing is batched in the port and every hit
+    // counts through access().
+    auto runFor = [](bool fast, std::uint32_t threads) {
+        platform::PrototypeConfig cfg =
+            platform::PrototypeConfig::parse("2x1x2");
+        cfg.core.dataFastPath = fast;
+        cfg.core.decodeCache.enabled = fast;
+        cfg.parallel.threads = threads;
+        cfg.parallel.quantum = 63;
+        platform::Prototype proto(cfg);
+        proto.loadSourceReplicated(kYieldMixSource);
+        proto.runCores({0, 1, 2, 3}, 20'000);
+        EXPECT_GT(proto.stats().counterValue("platform.phaseYields"), 0u);
+        std::uint64_t instret = 0;
+        for (GlobalTileId g = 0; g < 4; ++g)
+            instret += proto.core(g).instret();
+        EXPECT_EQ(proto.stats().counterValue("core.instret"), instret)
+            << "fast " << fast << ", " << threads << " workers";
+        std::ostringstream os;
+        proto.stats().dump(os);
+        return os.str();
+    };
+    std::string off = runFor(false, 1);
+    EXPECT_EQ(runFor(true, 1), off);
+    EXPECT_EQ(runFor(true, 2), off);
+}
+
+// ------------------------------------------------- port page handle
+
+/** Hart 0 streams a word of its data page, hart 1 one of node 0's SD
+ *  region; each stores back to the same page, which keeps the page's
+ *  write stamp wired so the port's page handle engages. */
+std::string
+pageLoopSource(Addr sd_word)
+{
+    return strfmt(R"(
+_start:
+    csrr t0, 0xf14
+    la t6, buf
+    beqz t0, loop
+    li t6, 0x%llx
+loop:
+    ld a0, 0(t6)
+    sd a0, 8(t6)
+    j loop
+
+.data
+.align 7
+buf:    .dword 0x1111
+        .dword 0
+)",
+                  static_cast<unsigned long long>(sd_word));
+}
+
+TEST(L1dFastPathPageHandle, LoadsSeeLoaderDmaAndRestoreWrites)
+{
+    fs::path dir = scratchDir("page_handle");
+    platform::PrototypeConfig cfg = platform::PrototypeConfig::parse("1x1x2");
+    platform::Prototype proto(cfg);
+    Addr sd_word = proto.sdCard(0).regionBase();
+    riscv::Program prog = proto.loadSource(pageLoopSource(sd_word));
+    Addr buf = 0;
+    for (const auto &sym : prog.symbols) {
+        if (sym.first == "buf")
+            buf = sym.second;
+    }
+    ASSERT_NE(buf, 0u);
+
+    proto.runCores({0, 1}, 2'000);
+    EXPECT_EQ(proto.core(0).reg(10), 0x1111u);
+    EXPECT_EQ(proto.core(1).reg(10), 0u);
+    std::string snap = (dir / "before.smck").string();
+    proto.checkpoint(snap);
+
+    // A loader write to hart 0's page and an SD-card (DMA) block write
+    // to hart 1's, while both lines stay in the L1Ds.
+    std::uint64_t loaded = 0x2222;
+    proto.memory().writeBytes(buf, &loaded, sizeof(loaded));
+    std::vector<std::uint8_t> block(512, 0);
+    block[0] = 0x33;
+    block[1] = 0x33;
+    proto.sdCard(0).writeBlock(0, block);
+    proto.runCores({0, 1}, 2'000);
+    EXPECT_EQ(proto.core(0).reg(10), 0x2222u);
+    EXPECT_EQ(proto.core(1).reg(10), 0x3333u);
+
+    // restore() replaces every page: the handles taken above must not
+    // serve the old image.
+    proto.restore(snap);
+    proto.core(0).setReg(10, 0xdead);
+    proto.core(1).setReg(10, 0xdead);
+    proto.runCores({0, 1}, 2'000);
+    EXPECT_EQ(proto.core(0).reg(10), 0x1111u);
+    EXPECT_EQ(proto.core(1).reg(10), 0u);
 }
 
 } // namespace
